@@ -31,7 +31,9 @@ from .qpoly import (
     QPolynomial,
     discriminant,
     eval_exact,
+    frac_str,
     nth_power_poly,
+    parse_frac,
     reduce_mod,
     reduce_poly_mod,
 )
@@ -300,16 +302,6 @@ def certify_range(ell_min: int, ell_max: int, witnesses=(3, 5), jobs: int = 1) -
 # serialization: every integer as a decimal string, every rational "num/den"
 
 
-def _frac_str(x: Fraction) -> str:
-    x = Q(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _parse_frac(s: str) -> Fraction:
-    num, den = s.split("/")
-    return Q(int(num), int(den))
-
-
 def certificate_to_dict(cert: Certificate) -> dict:
     return {
         "ell": str(cert.ell),
@@ -318,11 +310,11 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "witness_data": [
             {
                 "p": str(wd.p),
-                "a": _frac_str(wd.lp.a),
-                "b": _frac_str(wd.lp.b),
-                "p4": [_frac_str(wd.p4[i]) for i in range(5)],
-                "u": _frac_str(wd.u),
-                "disc": _frac_str(wd.disc),
+                "a": frac_str(wd.lp.a),
+                "b": frac_str(wd.lp.b),
+                "p4": [frac_str(wd.p4[i]) for i in range(5)],
+                "u": frac_str(wd.u),
+                "disc": frac_str(wd.disc),
             }
             for wd in cert.witness_data
         ],
@@ -376,12 +368,12 @@ def _verify(doc: dict):
     data = []
     for w in doc["witness_data"]:
         p = int(w["p"])
-        lp = LPolynomial(p, _parse_frac(w["a"]), _parse_frac(w["b"]))
+        lp = LPolynomial(p, parse_frac(w["a"]), parse_frac(w["b"]))
         wd = WitnessData.from_lpolynomial(lp)
-        stored_p4 = [_parse_frac(c) for c in w["p4"]]
+        stored_p4 = [parse_frac(c) for c in w["p4"]]
         if stored_p4 != [wd.p4[i] for i in range(5)]:
             raise CertificateError(f"stored fourth power transform mismatch for p={p}")
-        if _parse_frac(w["u"]) != wd.u or _parse_frac(w["disc"]) != wd.disc:
+        if parse_frac(w["u"]) != wd.u or parse_frac(w["disc"]) != wd.disc:
             raise CertificateError(f"stored invariants mismatch for p={p}")
         data.append(wd)
     fresh = certify_with_data(ell, data)

@@ -13,7 +13,6 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 
 from .certify import (
     OutOfRangeError,
@@ -22,6 +21,7 @@ from .certify import (
     certify_range,
 )
 from .lpoly import (
+    FULL_DIRECT_MAX_P,
     MODE_FE,
     MODE_FULL,
     HasseBoundError,
@@ -33,7 +33,7 @@ from .lpoly import (
     shape_classify,
 )
 from .modarith import is_prime, primes_in_range
-from .qpoly import Q
+from .qpoly import frac_str, parse_frac
 from .tensor import (
     GaussianMat,
     block_diagonal_pair,
@@ -64,16 +64,6 @@ GROUP_CHECK_MAX_ELL = 13  # breadth-first closure guard
 CACHE_VERSION = 1
 
 
-def _frac(x: Fraction) -> str:
-    x = Q(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _parse_frac(s: str) -> Fraction:
-    num, den = s.split("/")
-    return Q(int(num), int(den))
-
-
 def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
@@ -93,7 +83,7 @@ def load_cache(path: str) -> dict[int, LPolynomial]:
     entries: dict[int, LPolynomial] = {}
     for key, rec in doc.get("entries", {}).items():
         p = int(key)
-        entries[p] = LPolynomial(p, _parse_frac(rec["a"]), _parse_frac(rec["b"]))
+        entries[p] = LPolynomial(p, parse_frac(rec["a"]), parse_frac(rec["b"]))
     if entries:
         rng = random.Random(",".join(sorted(doc["entries"])))
         probe = rng.choice(sorted(entries))
@@ -106,7 +96,7 @@ def save_cache(path: str, entries: dict[int, LPolynomial], modes: dict[int, str]
     doc = {
         "version": CACHE_VERSION,
         "entries": {
-            str(p): {"a": _frac(lp.a), "b": _frac(lp.b), "mode": modes.get(p, MODE_FE)}
+            str(p): {"a": frac_str(lp.a), "b": frac_str(lp.b), "mode": modes.get(p, MODE_FE)}
             for p, lp in sorted(entries.items())
         },
     }
@@ -125,6 +115,9 @@ def cmd_lpoly(args) -> int:
         _err(f"{p} is not an odd prime")
         return EXIT_USAGE
     mode = MODE_FULL if args.mode == "full" else MODE_FE
+    if mode == MODE_FULL and p > FULL_DIRECT_MAX_P:
+        _err(f"full-direct mode limited to p <= {FULL_DIRECT_MAX_P}")
+        return EXIT_RANGE
     entries: dict[int, LPolynomial] = {}
     modes: dict[int, str] = {}
     if args.cache:
@@ -168,7 +161,7 @@ def cmd_scan(args) -> int:
             return EXIT_WEIL
         integral = (shape.b * p).denominator == 1
         print(
-            f"{p},{p % 4},{_frac(lp.a)},{_frac(lp.b)},{_frac(shape.b)},"
+            f"{p},{p % 4},{frac_str(lp.a)},{frac_str(lp.b)},{frac_str(shape.b)},"
             f"{'true' if integral else 'false'}"
         )
     print(f"scan pmax={args.pmax} took {time.perf_counter() - t0:.2f}s", file=sys.stderr)
@@ -186,10 +179,10 @@ def _cert_line(cert) -> str:
 
 
 def cmd_certify(args) -> int:
-    witnesses = tuple(int(w) for w in args.witnesses.split(","))
     t0 = time.perf_counter()
     errors: list[tuple[int, str]] = []
     try:
+        witnesses = tuple(int(w) for w in args.witnesses.split(","))
         if args.ell is not None:
             certs = [certify(args.ell, witnesses)]
         else:

@@ -1,6 +1,11 @@
 """4x4 orthogonal group machinery over F_l: bilinear forms, reflections,
 Cartan-Dieudonne factorization, the spinor norm, and Omega membership.
 
+The factorization is constructive and uses at most 4 reflections.  Its
+candidate vectors come from the coordinate grid {0..4}^4: every polynomial
+it must avoid has degree at most 4 in each coordinate, and l >= 11, so by
+the Combinatorial Nullstellensatz a nonzero one is nonzero on the grid.
+
 The spinor norm has two independent evaluation paths: det(I + A) when that
 determinant is nonzero, and otherwise the product of the square classes
 <v,v> over a reflection factorization.  Both are exposed so they can be
@@ -14,11 +19,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .modarith import is_prime, legendre
+from .qpoly import elementary_from_power_sums, reduce_mod
 
 Mat = tuple[tuple[int, ...], ...]
 Vec = tuple[int, ...]
 
 DIM = 4
+GRID = 5  # candidate coordinates 0..4: one more than the degree of Q(x) Q(mx - x)
 
 
 def identity(n: int = DIM) -> Mat:
@@ -62,16 +69,6 @@ def mat_det(a: Mat, ell: int) -> int:
     return total % ell
 
 
-def mat_pow(a: Mat, n: int, ell: int) -> Mat:
-    result = identity(len(a))
-    while n:
-        if n & 1:
-            result = mat_mul(result, a, ell)
-        a = mat_mul(a, a, ell)
-        n >>= 1
-    return result
-
-
 def mat_trace(a: Mat, ell: int) -> int:
     return sum(a[i][i] for i in range(len(a))) % ell
 
@@ -82,11 +79,9 @@ def reciprocal_charpoly(m: Mat, ell: int) -> tuple[int, ...]:
     powers = [m]
     for _ in range(3):
         powers.append(mat_mul(powers[-1], m, ell))
-    s = [mat_trace(x, ell) for x in powers]
-    e1 = s[0]
-    e2 = (e1 * s[0] - s[1]) * pow(2, -1, ell) % ell
-    e3 = (e2 * s[0] - e1 * s[1] + s[2]) * pow(3, -1, ell) % ell
-    e4 = (e3 * s[0] - e2 * s[1] + e1 * s[2] - s[3]) * pow(4, -1, ell) % ell
+    # exact mod l: the denominators divide 24 and l >= 11
+    e = elementary_from_power_sums([mat_trace(x, ell) for x in powers])
+    e1, e2, e3, e4 = (reduce_mod(x, ell) for x in e)
     return (1, -e1 % ell, e2, -e3 % ell, e4)
 
 
@@ -175,101 +170,54 @@ def reflection(v: Vec, form: GramForm) -> OrthMatrix:
     return OrthMatrix(reflection_matrix(tuple(x % form.ell for x in v), form), form)
 
 
-def _candidate_vectors(ell: int):
-    """Deterministic supply of nonzero vectors: basis vectors, signed pairs
-    and triples first, then the whole projective space."""
-    basis = [tuple(1 if i == j else 0 for j in range(DIM)) for i in range(DIM)]
-    yield from basis
-    for i, j in itertools.combinations(range(DIM), 2):
-        for sign in (1, ell - 1):
-            v = [0] * DIM
-            v[i], v[j] = 1, sign
-            yield tuple(v)
-    for i, j, k in itertools.combinations(range(DIM), 3):
-        for s1 in (1, ell - 1):
-            for s2 in (1, ell - 1):
-                v = [0] * DIM
-                v[i], v[j], v[k] = 1, s1, s2
-                yield tuple(v)
-    for v in itertools.product(range(ell), repeat=DIM):
-        for x in v:
-            if x:
-                break
-        else:
-            continue
-        if x == 1:  # one representative per projective point
-            yield v
-
-
-def _direct_reflections(b: Mat, form: GramForm):
-    """Vectors w = Bv - v with v and w both anisotropic; reflecting across
-    such a w strictly grows the fixed space of B."""
-    ell = form.ell
-    seen = set()
-    for v in _candidate_vectors(ell):
-        if form.norm(v) == 0:
-            continue
-        bv = mat_vec(b, v, ell)
-        if bv == v:
-            continue
-        w = tuple((x - y) % ell for x, y in zip(bv, v))
-        if w in seen:
-            continue
-        seen.add(w)
-        if form.norm(w) != 0:
-            yield w
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, n: int):
-        self.left = n
-
-    def spend(self) -> bool:
-        self.left -= 1
-        return self.left >= 0
-
-
-def _direct_path(b: Mat, form: GramForm, fuel: int, budget: _Budget) -> list[Vec] | None:
-    """Depth-first search for a factorization of b into at most `fuel`
-    direct reflections, backtracking across candidates."""
-    if b == identity():
+def _factor(mat: Mat, basis: list[Vec], form: GramForm) -> list[Vec]:
+    """Reflection vectors for mat, which preserves the nondegenerate span V
+    of basis and fixes V^perp pointwise."""
+    if mat == identity():
         return []
-    if fuel == 0 or not budget.spend():
-        return None
     ell = form.ell
-    for w in _direct_reflections(b, form):
-        rest = _direct_path(mat_mul(reflection_matrix(w, form), b, ell), form, fuel - 1, budget)
-        if rest is not None:
-            return [w] + rest
-    return None
+    first = None
+    for coeffs in itertools.product(range(GRID), repeat=len(basis)):
+        x = tuple(sum(c * b[k] for c, b in zip(coeffs, basis)) % ell for k in range(DIM))
+        qx = form.norm(x)
+        if qx == 0:
+            continue
+        if first is None:
+            first = x
+        w = tuple((y - z) % ell for y, z in zip(mat_vec(mat, x, ell), x))
+        if any(w) and form.norm(w) == 0:
+            continue
+        # x^perp within V: project away x from the basis vectors but one
+        k = next(i for i, c in enumerate(coeffs) if c)
+        inv = pow(qx, -1, ell)
+        rest = [
+            tuple((y - form.pair(b, x) * inv * z) % ell for y, z in zip(b, x))
+            for i, b in enumerate(basis)
+            if i != k
+        ]
+        if not any(w):  # mat fixes x
+            return _factor(mat, rest, form)
+        # r_w maps mat x to x, so r_w mat fixes x
+        return [w] + _factor(mat_mul(reflection_matrix(w, form), mat, ell), rest, form)
+    # Every difference vector is isotropic, so im(mat - 1) is totally
+    # isotropic and det mat = 1; after one reflection the det is -1 and this
+    # branch cannot recur.
+    return [first] + _factor(mat_mul(reflection_matrix(first, form), mat, ell), basis, form)
 
 
 def cartan_dieudonne(m: OrthMatrix) -> list[Vec]:
-    """Vectors v_1..v_r (r <= 5) with r_{v_1} ... r_{v_r} = m.
+    """Vectors v_1..v_r (r <= 4) with r_{v_1} ... r_{v_r} = m.
 
-    Direct reduction steps suffice except when every difference vector is
-    isotropic; that degenerate case is handled by one auxiliary reflection
-    before recursing, hence the bound of 5 rather than the classical 4.
+    The constructive proof (Artin, Geometric Algebra, ch. III): take an
+    anisotropic x with m x = x, or with w = m x - x anisotropic and emit w;
+    either way recurse on x^perp.  When no such x exists, im(m - 1) is a
+    totally isotropic plane, and one reflection first gives det -1, which
+    then needs at most 3.  Candidates x come from the grid {0..4}^dim: the
+    polynomial Q(x) Q(m x - x) has degree at most 4 in each coordinate and
+    l >= 11 > 4, so by the Combinatorial Nullstellensatz it vanishes on the
+    grid only if it vanishes identically.
     """
-    form = m.form
-    ell = form.ell
-    path = _direct_path(m.mat, form, 4, _Budget(50_000))
-    if path is not None:
-        return path
-    attempts = 0
-    for u in _candidate_vectors(ell):
-        if form.norm(u) == 0:
-            continue
-        b2 = mat_mul(reflection_matrix(u, form), m.mat, ell)
-        path = _direct_path(b2, form, 4, _Budget(50_000))
-        if path is not None:
-            return [u] + path
-        attempts += 1
-        if attempts >= 300:
-            break
-    raise RuntimeError("reflection factorization not found for orthogonal input")
+    return _factor(m.mat, list(identity()), m.form)
 
 
 def spinor_norm(m: OrthMatrix) -> SquareClass:
@@ -282,10 +230,7 @@ def spinor_norm(m: OrthMatrix) -> SquareClass:
     d = mat_det(mat_add(identity(), m.mat, ell), ell)
     if d != 0:
         return square_class(d, ell)
-    cls = SquareClass.SQUARE
-    for v in cartan_dieudonne(m):
-        cls = cls * square_class(m.form.norm(v), ell)
-    return cls
+    return spinor_norm_by_reflections(m)
 
 
 def spinor_norm_by_reflections(m: OrthMatrix) -> SquareClass:

@@ -1,4 +1,5 @@
-"""Exact polynomial arithmetic over Q, Newton power sums, and reductions mod l.
+"""Exact polynomial arithmetic over Q, Newton power sums, the "num/den" text
+codec, and reductions mod l.
 
 Coefficients are `fractions.Fraction` throughout; nothing here ever touches
 floating point.  Degrees stay tiny (at most 8 in this project), so the dense
@@ -220,6 +221,20 @@ def nth_power_poly(poly: QPolynomial, n: int) -> QPolynomial:
 
 def eval_exact(poly: QPolynomial, x) -> Fraction:
     return poly(Q(x))
+
+
+# ---------------------------------------------------------------------------
+# text codec: a rational as "num/den" in lowest terms
+
+
+def frac_str(x: Fraction) -> str:
+    x = Q(x)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def parse_frac(s: str) -> Fraction:
+    num, den = s.split("/")
+    return Q(int(num), int(den))
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,13 @@ def test_lpoly_full_mode(capsys):
     assert "P_7 = 1 - 34/49*T^2 + T^4" in out
 
 
+def test_lpoly_full_mode_out_of_range(capsys):
+    assert main(["lpoly", "--p", "17", "--mode", "full"]) == EXIT_RANGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: full-direct mode limited")
+
+
 def test_scan_row_counts(capsys):
     code, out = run(capsys, "scan", "--pmax", "20")
     assert code == EXIT_OK
@@ -78,6 +85,13 @@ def test_certify_witness_flag(capsys):
     code, out = run(capsys, "certify", "--ell", "19", "--witnesses", "3")
     assert code == EXIT_OK
     assert "verdict=Inconclusive" in out
+
+
+def test_certify_rejects_malformed_witnesses(capsys):
+    assert main(["certify", "--ell", "19", "--witnesses", "3,x"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_certify_range_reports_witness_clash(capsys):

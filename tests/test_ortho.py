@@ -86,13 +86,17 @@ def test_cartan_dieudonne_identity_and_single_reflection():
 
 
 def test_cartan_dieudonne_random_products():
-    for ell in LS:
-        form = tensor_form(ell)
-        rng = random.Random(ell)
+    # the diagonal forms have anisotropic basis vectors, unlike tensor_form
+    forms = [tensor_form(ell) for ell in LS] + [
+        GramForm(13, tuple(tuple(d if i == j else 0 for j in range(4)) for i, d in enumerate(diagonal)))
+        for diagonal in ((1, 1, 1, 2), (1, 1, 1, 1))
+    ]
+    for index, form in enumerate(forms):
+        rng = random.Random(form.ell + 100 * index)
         for _ in range(40):
-            m = rand_orthogonal(form, rng, rng.randint(1, 3))
+            m = rand_orthogonal(form, rng, rng.randint(1, 5))
             vecs = cartan_dieudonne(m)
-            assert len(vecs) <= 5
+            assert len(vecs) <= 4
             assert len(vecs) % 2 == (0 if m.det() == 1 else 1)
             assert recompose(vecs, form) == m.mat
 
@@ -106,14 +110,17 @@ def test_cartan_dieudonne_minus_identity():
 
 
 def test_cartan_dieudonne_isotropic_image_case():
-    # A transvection-like element: every difference vector is isotropic, so
-    # the factorization must take the auxiliary-reflection route.
-    ell = 11
-    form = tensor_form(ell)
-    m = tensor_action(((1, 1), (0, 1)), ((1, 0), (0, 1)), ell)
-    vecs = cartan_dieudonne(m)
-    assert len(vecs) <= 5
-    assert recompose(vecs, form) == m.mat
+    # A transvection-like element acting as (N, I) or (I, N): every
+    # difference vector is isotropic, so the factorization must take the
+    # auxiliary-reflection route.
+    n, one = ((1, 1), (0, 1)), ((1, 0), (0, 1))
+    for ell in (11, 31):
+        form = tensor_form(ell)
+        for pair in ((n, one), (one, n)):
+            m = tensor_action(*pair, ell)
+            vecs = cartan_dieudonne(m)
+            assert len(vecs) <= 4
+            assert recompose(vecs, form) == m.mat
 
 
 def test_spinor_norm_basics():
