@@ -74,8 +74,8 @@ class WitnessData:
         return WitnessData(lp.p, lp, p4, shape.u, values, discriminant(lp.as_qpoly()))
 
     @staticmethod
-    def from_prime(p: int, mode: str = MODE_FE, jobs: int = 1) -> "WitnessData":
-        return WitnessData.from_lpolynomial(lpolynomial(p, mode, jobs))
+    def from_prime(p: int, mode: str = MODE_FE) -> "WitnessData":
+        return WitnessData.from_lpolynomial(lpolynomial(p, mode))
 
 
 @dataclass(frozen=True)
@@ -224,12 +224,12 @@ def certify_with_data(ell: int, data: list[WitnessData]) -> Certificate:
     )
 
 
-def certify(ell: int, witnesses=(3, 5), mode: str = MODE_FE, jobs: int = 1) -> Certificate:
+def certify(ell: int, witnesses=(3, 5), mode: str = MODE_FE) -> Certificate:
     """Run the three-branch elimination for one l; witnesses default to the
     smallest usable primes 3 and 5."""
     witnesses = tuple(witnesses)
     _validate(ell, witnesses)
-    data = [WitnessData.from_prime(p, mode, jobs) for p in witnesses]
+    data = [WitnessData.from_prime(p, mode) for p in witnesses]
     return certify_with_data(ell, data)
 
 

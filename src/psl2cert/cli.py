@@ -2,8 +2,9 @@
 runs, surface invariants, and small-l group identity checks.
 
 Every command writes deterministic bytes to stdout for identical flags;
-timing goes to stderr.  Exit codes: 0 success, 1 bad input, 2 shape-law
-violation, 3 Weil/Hasse-bound failure, 4 out-of-range request.
+timing goes to stderr.  Exit codes: 0 success, 1 bad input or cache file,
+2 shape-law violation, 3 Weil/Hasse-bound or kernel-check failure, 4
+out-of-range request, 5 some l given to `certify` is Inconclusive or errored.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .lpoly import (
     MODE_FE,
     MODE_FULL,
     HasseBoundError,
+    KernelCheckError,
     LPolynomial,
     ReciprocityError,
     ShapeViolation,
@@ -58,6 +60,7 @@ EXIT_USAGE = 1
 EXIT_SHAPE = 2
 EXIT_WEIL = 3
 EXIT_RANGE = 4
+EXIT_INCONCLUSIVE = 5
 
 GROUP_CHECK_MAX_ELL = 13  # breadth-first closure guard
 
@@ -125,6 +128,9 @@ def cmd_lpoly(args) -> int:
             entries = load_cache(args.cache)
         except FileNotFoundError:
             entries = {}
+        except (OSError, ValueError, KeyError) as exc:
+            _err(f"cache {args.cache}: {exc}")
+            return EXIT_USAGE
         modes = {q: MODE_FE for q in entries}
     try:
         if p in entries and mode == MODE_FE:
@@ -139,7 +145,7 @@ def cmd_lpoly(args) -> int:
     except ShapeViolation as exc:
         _err(str(exc))
         return EXIT_SHAPE
-    except (WeilBoundError, HasseBoundError, ReciprocityError) as exc:
+    except (WeilBoundError, HasseBoundError, KernelCheckError, ReciprocityError) as exc:
         _err(str(exc))
         return EXIT_WEIL
     print(f"P_{p} = {lp}; shape: {shape.describe()}")
@@ -151,12 +157,12 @@ def cmd_scan(args) -> int:
     print("p,p_mod_4,a,b,shape_b,shape_b_times_p_integral")
     for p in primes_in_range(3, args.pmax):
         try:
-            lp = lpolynomial(p, jobs=args.jobs)
+            lp = lpolynomial(p)
             shape = shape_classify(lp)
         except ShapeViolation as exc:
             _err(str(exc))
             return EXIT_SHAPE
-        except (WeilBoundError, HasseBoundError) as exc:
+        except (WeilBoundError, HasseBoundError, KernelCheckError) as exc:
             _err(str(exc))
             return EXIT_WEIL
         integral = (shape.b * p).denominator == 1
@@ -209,7 +215,7 @@ def cmd_certify(args) -> int:
             json.dump(payload, fh, sort_keys=True, indent=1)
             fh.write("\n")
     print(f"certify took {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OK if certified == len(certs) and not errors else EXIT_INCONCLUSIVE
 
 
 def cmd_invariants(_args) -> int:
@@ -300,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="CSV of shapes for all odd primes <= pmax")
     p_scan.add_argument("--pmax", type=int, default=100)
-    p_scan.add_argument("--jobs", type=int, default=1)
     p_scan.set_defaults(func=cmd_scan)
 
     p_cert = sub.add_parser("certify", help="emit surjectivity certificates")

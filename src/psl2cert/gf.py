@@ -4,7 +4,8 @@ A field context fixes the prime p, the degree k and a monic irreducible
 modulus of degree k over F_p.  Elements are residues modulo that modulus,
 stored as coefficient tuples (constant coefficient first).  Each element
 also has an integer encoding sum(c_i * p^i), which the bulk point-counting
-kernel uses to index precomputed tables.
+kernel uses to index precomputed tables.  The quadratic-character table is
+-1 except at 0 (0) and at the encodings of all squares x*x (+1).
 
 Contexts are immutable and safe to share; `fq_ctx` returns a cached
 deterministic context whose modulus is the lexicographically smallest
@@ -16,7 +17,9 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .modarith import factorize, is_prime
+import numpy as np
+
+from .modarith import is_prime
 
 CHI_TABLE_MAX_Q = 1 << 20  # full character table only below this size
 
@@ -113,7 +116,7 @@ def enum_irreducibles(p: int, d: int) -> list[Poly]:
 class FieldCtx:
     """Context for F_{p^k}: prime, degree, monic irreducible modulus."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_chi", "_powers_of_p")
+    __slots__ = ("p", "k", "q", "modulus", "_chi")
 
     def __init__(self, p: int, k: int, modulus: Poly):
         if not is_prime(p) or p == 2:
@@ -129,7 +132,6 @@ class FieldCtx:
         self.q = p**k
         self.modulus = tuple(c % p for c in modulus)
         self._chi = None
-        self._powers_of_p = tuple(p**i for i in range(k))
 
     # -- element plumbing ---------------------------------------------------
 
@@ -167,15 +169,18 @@ class FieldCtx:
     # -- integer encoding ---------------------------------------------------
 
     def encode(self, a: "FqElem") -> int:
-        return sum(c * w for c, w in zip(a.coeffs, self._powers_of_p))
+        return sum(c * self.p**i for i, c in enumerate(a.coeffs))
 
     def decode(self, enc: int) -> "FqElem":
-        p = self.p
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(enc % p)
-            enc //= p
-        return FqElem(self, tuple(coeffs))
+        return FqElem(self, tuple(enc // self.p**i % self.p for i in range(self.k)))
+
+    def coeff_arrays(self, encs):
+        """(k, n) int32 coefficients of encoded elements, row i holding t^i."""
+        return np.array(np.unravel_index(encs, (self.p,) * self.k)[::-1], dtype=np.int32)
+
+    def encode_arrays(self, coeffs):
+        """Encodings of a (k, n) coefficient array; inverse of coeff_arrays."""
+        return np.ravel_multi_index(tuple(coeffs[::-1]), (self.p,) * self.k)
 
     # -- raw coefficient arithmetic -----------------------------------------
 
@@ -203,37 +208,37 @@ class FieldCtx:
             n >>= 1
         return result
 
+    def mul_arrays(self, a, b):
+        """Column-wise products of (k, n) coefficient arrays: poly_mul, then
+        reduction by the monic modulus."""
+        p, k = self.p, self.k
+        acc = np.int32 if 2 * k * p * p < 2**31 else np.int64  # bounds every partial sum
+        prod = np.zeros((2 * k - 1,) + a.shape[1:], dtype=acc)
+        for i, j in itertools.product(range(k), repeat=2):
+            prod[i + j] += np.multiply(a[i], b[j], dtype=acc)
+        for d in range(2 * k - 2, k - 1, -1):  # t^d = t^(d-k) * (t^k - modulus)
+            prod[d] %= p
+            for i, m in enumerate(self.modulus[:k]):
+                prod[d - k + i] -= m * prod[d]
+        return (prod[:k] % p).astype(np.int32)
+
     # -- quadratic character --------------------------------------------------
 
     def chi_table(self):
         """numpy int8 array of chi over the whole field, indexed by encoding.
 
-        Built lazily (idempotent) from a multiplicative generator; only
+        Built lazily (idempotent) from the squares of all elements; only
         available when q <= CHI_TABLE_MAX_Q.
         """
         if self._chi is None:
             if self.q > CHI_TABLE_MAX_Q:
                 raise ValueError("field too large for a character table")
-            import numpy as np
-
-            chi = np.zeros(self.q, dtype=np.int8)
-            g = self._find_generator()
-            cur = self.one().coeffs
-            for i in range(self.q - 1):
-                chi[self.encode(FqElem(self, cur))] = 1 if i % 2 == 0 else -1
-                cur = self._mul(cur, g)
+            x = self.coeff_arrays(np.arange(self.q))
+            chi = np.full(self.q, -1, dtype=np.int8)
+            chi[self.encode_arrays(self.mul_arrays(x, x))] = 1
+            chi[0] = 0
             self._chi = chi
         return self._chi
-
-    def _find_generator(self) -> Poly:
-        order = self.q - 1
-        prime_divs = list(factorize(order))
-        one = self.one().coeffs
-        for enc in range(2, self.q):
-            cand = self.decode(enc).coeffs
-            if all(self._pow(cand, order // r) != one for r in prime_divs):
-                return cand
-        raise AssertionError("no multiplicative generator found")
 
 
 class FqElem:

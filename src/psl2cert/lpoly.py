@@ -1,19 +1,20 @@
 """Point counting on the fibers of t(t-1)(t+1) y^2 = x(x+1)(x+t^2) and exact
 assembly of the degree-4 L-polynomial of the family over F_p.
 
-The trace of Frobenius at a good parameter t0 in F_q is computed as a
-quadratic-character sum
-    a(t0) = -chi(t0^3 - t0) * sum_x chi(x (x+1) (x+t0^2)),
-one vectorised pass of table lookups per fiber, so a full degree-k trace sum
-costs O(q^2) table operations.  The L-series is recovered from the trace
-sums A_1, A_2 through exp(sum A_k T^k / k); the functional equation fills in
-the T^3 and T^4 coefficients, and a "full direct" mode recounts over the
-degree-3 and degree-4 extensions to confirm them independently.
+The trace of Frobenius at a good parameter t0 in F_q is a character sum
+    a(t0) = -chi(t0^3 - t0) * S(t0^2),  S(c) = sum_x chi(x) chi(x+1) chi(x+c).
+S is a correlation over the additive group (Z/p)^k, so one float64 FFT gives
+every S(c) and a degree-k trace sum costs O(q log q).  Each call proves its
+rounding: every S lies within 1/4 of an integer (|S| <= q <= 2^20), every
+fiber meets the Hasse bound, and three fibers are recounted directly; a
+failure raises, with no fallback.  The L-series is recovered from A_1, A_2
+through exp(sum A_k T^k / k); the functional equation fills in the T^3 and
+T^4 coefficients, and a "full direct" mode, up to FULL_DIRECT_MAX_P, recounts
+over the degree-3 and degree-4 extensions to confirm them independently.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,11 +35,15 @@ from .qpoly import (
 MODE_FE = "FE"
 MODE_FULL = "Full"
 
-FULL_DIRECT_MAX_P = 13  # degree-4 counting is O(p^8); cost guard
+FULL_DIRECT_MAX_P = 31  # largest p with p^4 <= CHI_TABLE_MAX_Q; cost guard
 
 
 class HasseBoundError(ArithmeticError):
     """A computed trace violates |a| <= 2 sqrt(q); signals a counting bug."""
+
+
+class KernelCheckError(ArithmeticError):
+    """The FFT trace kernel failed its rounding-gap or exact-recount check."""
 
 
 class WeilBoundError(ArithmeticError):
@@ -53,83 +58,77 @@ class ShapeViolation(ArithmeticError):
     """An L-polynomial does not match the shape law for its residue class."""
 
 
-def _bad_encodings(ctx: FieldCtx) -> frozenset[int]:
-    # t0 in {0, 1, -1} are the singular parameters; their encodings are
-    # constant polynomials.
-    return frozenset((0, 1, ctx.p - 1))
-
-
-def _fiber_traces(ctx: FieldCtx, t0_encs: list[int]) -> list[int]:
-    """Frobenius traces for the fibers at the given encoded parameters."""
-    p, k, q = ctx.p, ctx.k, ctx.q
+def _fiber_trace_direct(ctx: FieldCtx, enc: int) -> int:
+    """Trace at one encoded parameter by a direct sum over x; the oracle the
+    FFT kernel is checked against."""
+    t0 = ctx.decode(enc)
+    c2 = t0 * t0
+    c = c2 * t0 - t0
+    if c.is_zero():
+        raise ValueError(f"t0 = {t0!r} is a singular fiber")
     chi = ctx.chi_table()
-    x = np.arange(q, dtype=np.int64)
-    digits = []
-    tmp = x
-    for _ in range(k):
-        digits.append(tmp % p)
-        tmp = tmp // p
-    d0 = digits[0]
-    x_plus_1 = x - d0 + (d0 + 1) % p
-    chi01 = (chi.astype(np.int16) * chi[x_plus_1]).astype(np.int8)
-    weights = [p**i for i in range(k)]
+    x = ctx.coeff_arrays(np.arange(ctx.q))
 
-    out = []
-    for enc in t0_encs:
-        t0 = ctx.decode(enc)
-        if enc in _bad_encodings(ctx):
-            raise ValueError(f"t0 = {t0!r} is a singular fiber")
-        c2 = t0 * t0
-        c = c2 * t0 - t0
-        xc = np.zeros(q, dtype=np.int64)
-        for i in range(k):
-            ci = c2.coeffs[i]
-            col = (digits[i] + ci) % p if ci else digits[i]
-            xc += col * weights[i]
-        s = int((chi01.astype(np.int64) * chi[xc]).sum())
-        a = -quad_char(ctx, c) * s
-        if a * a > 4 * q:
-            raise HasseBoundError(f"|a|={abs(a)} exceeds 2*sqrt({q}) at t0={t0!r}")
-        out.append(a)
-    return out
+    def chi_shifted(v: FqElem):  # chi(x + v) for every x
+        return chi[ctx.encode_arrays((x + np.array(v.coeffs, dtype=x.dtype)[:, None]) % ctx.p)]
+
+    s = int((chi * chi_shifted(ctx.one()).astype(np.int64) * chi_shifted(c2)).sum())
+    a = -quad_char(ctx, c) * s
+    if a * a > 4 * ctx.q:
+        raise HasseBoundError(f"|a|={abs(a)} exceeds 2*sqrt({ctx.q}) at t0={t0!r}")
+    return a
 
 
 def fiber_trace(p: int, k: int, t0) -> int:
-    """Trace a = q + 1 - #E_{t0}(F_q) for the fiber at t0 in F_{p^k}.
+    """Trace a = q + 1 - #E_{t0}(F_q) for the fiber at t0 in F_{p^k} (direct).
 
     t0 may be an FqElem of fq_ctx(p, k), an int (prime-subfield value) or a
     coefficient sequence.
     """
     ctx = fq_ctx(p, k)
-    elem = t0 if isinstance(t0, FqElem) else ctx.elem(t0)
-    return _fiber_traces(ctx, [ctx.encode(elem)])[0]
+    return _fiber_trace_direct(ctx, ctx.encode(ctx.elem(t0)))
 
 
-def _range_trace_sum(args) -> int:
-    p, k, lo, hi = args
+def _correlation(ctx: FieldCtx) -> np.ndarray:
+    """S(c) for every c, indexed by encoding, rounded to exact integers."""
+    # An encoding is the C-order index of its digit vector on the (p,)*k grid
+    # (t^0 digit last), so field addition is grid addition mod p.
+    chi = ctx.chi_table().reshape((ctx.p,) * ctx.k)
+    axes = tuple(range(ctx.k))
+    spectrum = np.conj(np.fft.rfftn(chi * np.roll(chi, -1, axis=-1), axes=axes))
+    spectrum *= np.fft.rfftn(chi, axes=axes)
+    s = np.fft.irfftn(spectrum, s=chi.shape, axes=axes).ravel()
+    s_exact = np.rint(s)
+    gap = float(np.abs(s - s_exact).max())
+    if not gap < 0.25:
+        raise KernelCheckError(f"FFT rounding gap {gap} is not below 1/4 for q={ctx.q}")
+    return s_exact.astype(np.int64)
+
+
+def fiber_traces(p: int, k: int) -> np.ndarray:
+    """Traces at every t0 in F_{p^k} by the FFT kernel, indexed by encoding;
+    0 at the singular parameters 0, 1, -1."""
     ctx = fq_ctx(p, k)
-    bad = _bad_encodings(ctx)
-    encs = [e for e in range(lo, hi) if e not in bad]
-    return sum(_fiber_traces(ctx, encs)) if encs else 0
+    t0 = ctx.coeff_arrays(np.arange(ctx.q))
+    t2 = ctx.mul_arrays(t0, t0)
+    chi_c = ctx.chi_table()[ctx.encode_arrays((ctx.mul_arrays(t2, t0) - t0) % p)]
+    square = ctx.encode_arrays(t2)
+    del t0, t2  # not needed by the FFT and the recounts below; frees their memory
+    traces = -chi_c * _correlation(ctx)[square]  # chi_c is 0 exactly at 0, 1, -1
+    over = np.flatnonzero(traces * traces > 4 * ctx.q)
+    if over.size:
+        bad, a = ctx.decode(int(over[0])), abs(traces[over[0]])
+        raise HasseBoundError(f"|a|={a} exceeds 2*sqrt({ctx.q}) at t0={bad!r}")
+    good = np.flatnonzero(chi_c)
+    for enc in good[[0, good.size // 2, -1]].tolist() if good.size else ():
+        if _fiber_trace_direct(ctx, enc) != traces[enc]:
+            raise KernelCheckError(f"FFT trace disagrees with a direct count at t0={ctx.decode(enc)!r}")
+    return traces
 
 
-def trace_sum(p: int, k: int, jobs: int = 1) -> int:
-    """A_k = sum of fiber traces over all good t0 in F_{p^k}.
-
-    The fiber partition across workers is contiguous and summed in order,
-    so the result does not depend on the worker count.
-    """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if not 1 <= k <= 4:
-        raise ValueError(f"k must be 1..4, got {k}")
-    q = p**k
-    if jobs <= 1 or q < 4096:
-        return _range_trace_sum((p, k, 0, q))
-    bounds = [q * i // jobs for i in range(jobs + 1)]
-    chunks = [(p, k, bounds[i], bounds[i + 1]) for i in range(jobs)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return sum(pool.map(_range_trace_sum, chunks))
+def trace_sum(p: int, k: int) -> int:
+    """A_k = sum of fiber traces over all good t0 in F_{p^k}."""
+    return int(fiber_traces(p, k).sum())
 
 
 def euler_product_truncated(p: int, max_degree: int) -> list[int]:
@@ -150,7 +149,7 @@ def euler_product_truncated(p: int, max_degree: int) -> list[int]:
                 continue  # singular parameter
             ctx = FieldCtx(p, d, modulus)
             t_bar = (-modulus[0]) % p if d == 1 else ctx.encode(ctx.gen())
-            a_x = _fiber_traces(ctx, [t_bar])[0]
+            a_x = _fiber_trace_direct(ctx, t_bar)
             local = [0] * (max_degree + 1)
             local[0] = 1
             local[d] = -a_x
@@ -218,7 +217,7 @@ class LPolynomial:
         return format_poly(self.as_qpoly(), "T")
 
 
-def lpolynomial(p: int, mode: str = MODE_FE, jobs: int = 1) -> LPolynomial:
+def lpolynomial(p: int, mode: str = MODE_FE) -> LPolynomial:
     """Assemble P_p from point counts.
 
     MODE_FE uses degree-1 and degree-2 trace sums and completes the quartic
@@ -233,16 +232,16 @@ def lpolynomial(p: int, mode: str = MODE_FE, jobs: int = 1) -> LPolynomial:
     if mode == MODE_FULL and p > FULL_DIRECT_MAX_P:
         raise ValueError(f"full-direct mode limited to p <= {FULL_DIRECT_MAX_P}")
 
-    a1 = trace_sum(p, 1, jobs)
-    a2 = trace_sum(p, 2, jobs)
+    a1 = trace_sum(p, 1)
+    a2 = trace_sum(p, 2)
     coeffs = series_exp([Q(0), Q(a1), Q(a2, 2)], 2)
     if coeffs[1].denominator != 1 or coeffs[2].denominator != 1:
         raise HasseBoundError(f"non-integral L-series coefficients for p={p}")
     lp = LPolynomial(p, Q(coeffs[1], p), Q(coeffs[2], p * p))
 
     if mode == MODE_FULL:
-        a3 = trace_sum(p, 3, jobs)
-        a4 = trace_sum(p, 4, jobs)
+        a3 = trace_sum(p, 3)
+        a4 = trace_sum(p, 4)
         full = series_exp([Q(0), Q(a1), Q(a2, 2), Q(a3, 3), Q(a4, 4)], 4)
         if full[3] != lp.a * p**3 or full[4] != p**4:
             raise ReciprocityError(

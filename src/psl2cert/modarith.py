@@ -86,16 +86,3 @@ def sqrt_mod(a: int, p: int) -> int:
         t, r = t * c % p, r * b % p
     return r
 
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; meant for small n."""
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out

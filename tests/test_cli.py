@@ -5,7 +5,7 @@ import json
 import pytest
 
 from psl2cert.certify import verify_certificate
-from psl2cert.cli import EXIT_OK, EXIT_RANGE, EXIT_USAGE, load_cache, main
+from psl2cert.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_RANGE, EXIT_USAGE, load_cache, main
 
 
 def run(capsys, *argv):
@@ -35,7 +35,7 @@ def test_lpoly_full_mode(capsys):
 
 
 def test_lpoly_full_mode_out_of_range(capsys):
-    assert main(["lpoly", "--p", "17", "--mode", "full"]) == EXIT_RANGE
+    assert main(["lpoly", "--p", "37", "--mode", "full"]) == EXIT_RANGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: full-direct mode limited")
@@ -83,7 +83,7 @@ def test_certify_range_with_json(capsys, tmp_path):
 
 def test_certify_witness_flag(capsys):
     code, out = run(capsys, "certify", "--ell", "19", "--witnesses", "3")
-    assert code == EXIT_OK
+    assert code == EXIT_INCONCLUSIVE
     assert "verdict=Inconclusive" in out
 
 
@@ -96,7 +96,7 @@ def test_certify_rejects_malformed_witnesses(capsys):
 
 def test_certify_range_reports_witness_clash(capsys):
     code, out = run(capsys, "certify", "--ell-range", "11:17", "--witnesses", "13")
-    assert code == EXIT_OK
+    assert code == EXIT_INCONCLUSIVE
     assert "ell=13 error=" in out
     assert out.strip().endswith("/3")
 
@@ -159,3 +159,21 @@ def test_cache_rejects_invalid_coefficients(tmp_path):
     )
     with pytest.raises(ValueError):
         load_cache(str(path))
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "not json\n",  # fails to parse
+        # well-formed but not P_5: fails the load-time recount
+        json.dumps({"version": 1, "entries": {"5": {"a": "0/1", "b": "2/5", "mode": "FE"}}}),
+    ],
+)
+def test_lpoly_rejects_bad_cache_without_traceback(capsys, tmp_path, content):
+    path = tmp_path / "cache.json"
+    path.write_text(content)
+    assert main(["lpoly", "--p", "3", "--cache", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert path.read_text() == content

@@ -1,8 +1,12 @@
 """Finite field contexts, quadratic characters, irreducible enumeration."""
 
+import random
+
+import numpy as np
 import pytest
 
 from psl2cert.gf import FieldCtx, enum_irreducibles, fq_ctx, poly_eval, quad_char
+from psl2cert.modarith import primes_in_range
 
 
 def brute_force_irreducible_quadratics(p):
@@ -92,6 +96,30 @@ def test_quad_char_counts_square_roots(p, k):
     for v in elems:
         solutions = sum(1 for y in elems if y * y == v)
         assert solutions == 1 + quad_char(ctx, v)
+
+
+def test_chi_table_matches_power_path():
+    # the squares-built table against Euler's criterion, every field with q <= 5^4
+    for p in primes_in_range(3, 5**4):
+        for k in range(1, 5):
+            ctx = fq_ctx(p, k)
+            if ctx.q > 5**4:
+                break
+            half = (ctx.q - 1) // 2
+            euler = [0] + [1 if a**half == ctx.one() else -1 for a in list(ctx.elements())[1:]]
+            assert ctx.chi_table().tolist() == euler, (p, k)
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (7, 2), (5, 3), (3, 4), (11, 4)])
+def test_mul_arrays_matches_element_products(p, k):
+    ctx = fq_ctx(p, k)
+    rng = random.Random(p * 10 + k)
+    left = [rng.randrange(ctx.q) for _ in range(200)]
+    right = [rng.randrange(ctx.q) for _ in range(200)]
+    got = ctx.encode_arrays(ctx.mul_arrays(ctx.coeff_arrays(left), ctx.coeff_arrays(right)))
+    want = [ctx.encode(ctx.decode(a) * ctx.decode(b)) for a, b in zip(left, right)]
+    assert got.tolist() == want
+    assert np.array_equal(ctx.encode_arrays(ctx.coeff_arrays(left)), left)
 
 
 def test_enum_irreducibles_linear():

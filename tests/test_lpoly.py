@@ -2,18 +2,25 @@
 
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from psl2cert import lpoly as lpoly_module
 from psl2cert.gf import fq_ctx, quad_char
 from psl2cert.lpoly import (
     MODE_FULL,
     BiquadraticShape,
+    HasseBoundError,
+    KernelCheckError,
     LPolynomial,
     ShapeViolation,
     SquareShape,
     WeilBoundError,
     euler_product_truncated,
     fiber_trace,
+    fiber_traces,
     lpolynomial,
     roots_on_unit_circle,
     shape_classify,
@@ -91,10 +98,63 @@ def test_trace_sum_matches_naive_total_p13():
     assert trace_sum(13, 1) == total
 
 
-def test_trace_sum_parallel_is_deterministic():
-    # q = 67^2 = 4489 is above the inline threshold, so jobs=2 really does
-    # split the fiber range across worker processes
-    assert trace_sum(67, 2, jobs=2) == trace_sum(67, 2, jobs=1)
+def test_fft_kernel_matches_direct_count_p67():
+    # every fiber of F_{67^2}, not only the three the kernel recounts itself
+    ctx = fq_ctx(67, 2)
+    direct = [0 if e in (0, 1, 66) else fiber_trace(67, 2, ctx.decode(e)) for e in range(ctx.q)]
+    assert fiber_traces(67, 2).tolist() == direct
+    assert trace_sum(67, 2) == sum(direct)
+
+
+def test_fft_kernel_checks_fail_loudly(monkeypatch):
+    irfftn = np.fft.irfftn
+
+    def shifted_irfftn(shift):
+        return lambda *args, **kwargs: irfftn(*args, **kwargs) + shift
+
+    monkeypatch.setattr(np.fft, "irfftn", shifted_irfftn(0.5))
+    with pytest.raises(KernelCheckError, match="rounding gap"):
+        fiber_traces(7, 2)
+    monkeypatch.setattr(np.fft, "irfftn", shifted_irfftn(100.0))  # |a| >= 86 > 2*sqrt(49)
+    with pytest.raises(HasseBoundError, match="at t0="):
+        fiber_traces(7, 2)
+    monkeypatch.setattr(np.fft, "irfftn", irfftn)
+    monkeypatch.setattr(lpoly_module, "_fiber_trace_direct", lambda ctx, enc: 99)
+    with pytest.raises(KernelCheckError, match="direct count"):
+        fiber_traces(7, 2)
+
+
+SMALL_FIELDS = [(p, k) for p in (3, 5, 7, 11, 13) for k in (1, 2, 3, 4) if p**k <= 2500]
+KERNEL_FIELDS = SMALL_FIELDS + [(11, 4), (31, 2), (97, 2), (127, 2)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(SMALL_FIELDS))
+def test_trace_sum_is_sum_of_direct_fiber_traces(field):
+    p, k = field
+    ctx = fq_ctx(p, k)
+    good = [e for e in range(ctx.q) if e not in (0, 1, p - 1)]
+    assert trace_sum(p, k) == sum(fiber_trace(p, k, ctx.decode(e)) for e in good)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.integers(min_value=0))
+def test_fft_traces_frobenius_invariant(field, n):
+    p, k = field
+    ctx = fq_ctx(p, k)
+    traces = fiber_traces(p, k)
+    t0 = ctx.decode(n % ctx.q)
+    assert traces[ctx.encode(t0.frobenius())] == traces[ctx.encode(t0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.integers(min_value=0))
+def test_fft_traces_negation_twist(field, n):
+    p, k = field
+    ctx = fq_ctx(p, k)
+    traces = fiber_traces(p, k)
+    t0 = ctx.decode(n % ctx.q)
+    assert traces[ctx.encode(-t0)] == quad_char(ctx, -1) * traces[ctx.encode(t0)]
 
 
 def test_hasse_bound_exhaustive():
@@ -118,8 +178,8 @@ def test_lpolynomial_full_direct_agreement():
 
 
 def test_lpolynomial_full_direct_agreement_large():
-    # the degree-4 counts are O(p^8); 11 and 13 are the top of the guard
-    for p in (11, 13):
+    # 31 is the top of the guard: 31^4 <= CHI_TABLE_MAX_Q < 37^4
+    for p in (11, 13, 17, 31):
         assert lpolynomial(p, MODE_FULL) == lpolynomial(p)
 
 
@@ -134,7 +194,7 @@ def test_lpolynomial_guards():
     with pytest.raises(ValueError):
         lpolynomial(9)
     with pytest.raises(ValueError):
-        lpolynomial(17, MODE_FULL)  # cost guard
+        lpolynomial(37, MODE_FULL)  # cost guard
     with pytest.raises(ValueError):
         lpolynomial(3, "bogus")
 
@@ -193,7 +253,7 @@ def test_shape_classify_known():
 
 
 def test_shape_classify_all_small_primes():
-    for p in primes_in_range(3, 30):
+    for p in primes_in_range(3, 300):
         shape = shape_classify(lpolynomial(p))
         assert (shape.b * p).denominator == 1
         if p % 4 == 1:
