@@ -20,11 +20,11 @@ to actual surjectivity onto PSL2(F_l) is external to this artifact.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lpoly import MODE_FE, LPolynomial, lpolynomial, shape_classify
+from .gf import OutOfRangeError
+from .lpoly import LPolynomial, lpolynomial, shape_classify
 from .modarith import is_prime, primes_in_range
 from .qpoly import (
     Q,
@@ -44,10 +44,6 @@ MIN_ELL = 11
 BOREL_POINTS = ((1, 0), (-1, 0), (1, 1), (-1, 1))
 
 EXCEPTIONAL_TRACE_SET = (0, 1, 2, 4)
-
-
-class OutOfRangeError(ValueError):
-    """l below 11 (or otherwise outside the certifiable range)."""
 
 
 class CertificateError(ValueError):
@@ -74,15 +70,13 @@ class WitnessData:
         return WitnessData(lp.p, lp, p4, shape.u, values, discriminant(lp.as_qpoly()))
 
     @staticmethod
-    def from_prime(p: int, mode: str = MODE_FE) -> "WitnessData":
-        return WitnessData.from_lpolynomial(lpolynomial(p, mode))
+    def from_prime(p: int) -> "WitnessData":
+        return WitnessData.from_lpolynomial(lpolynomial(p))
 
 
 @dataclass(frozen=True)
-class BorelRecord:
-    eliminated_by: int | None
-    witness_residues: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
-    failed: tuple[int, ...]
+class _BranchRecord:
+    eliminated_by: int | None  # the first witness that passes the branch test
 
     @property
     def eliminated(self) -> bool:
@@ -90,26 +84,22 @@ class BorelRecord:
 
 
 @dataclass(frozen=True)
-class CartanRecord:
-    eliminated_by: int | None
+class BorelRecord(_BranchRecord):
+    witness_residues: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
+    failed: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class CartanRecord(_BranchRecord):
     witness_reductions: tuple[tuple[int, tuple[int, ...]], ...]
     separability: tuple[tuple[int, int], ...]  # disc(P_p) mod l per witness
     failed: tuple[int, ...]
 
-    @property
-    def eliminated(self) -> bool:
-        return self.eliminated_by is not None
-
 
 @dataclass(frozen=True)
-class ExceptionalRecord:
-    eliminated_by: int | None
+class ExceptionalRecord(_BranchRecord):
     witness_u: tuple[tuple[int, int], ...]
     failed: tuple[int, ...]
-
-    @property
-    def eliminated(self) -> bool:
-        return self.eliminated_by is not None
 
 
 @dataclass(frozen=True)
@@ -148,23 +138,27 @@ def _validate(ell: int, witnesses: tuple[int, ...]):
             raise ValueError(f"witness {p} coincides with l")
 
 
+def _first_passing(pairs, passes) -> tuple[int | None, tuple[int, ...]]:
+    """(eliminated_by, failed) from the per-witness (p, residue) pairs: the
+    first p whose residue passes the branch test, or None, and every p whose
+    residue fails it, in witness order."""
+    eliminated_by, failed = None, []
+    for p, residue in pairs:
+        if not passes(residue):
+            failed.append(p)
+        elif eliminated_by is None:
+            eliminated_by = p
+    return eliminated_by, tuple(failed)
+
+
 def eliminate_borel(ell: int, data: list[WitnessData]) -> BorelRecord:
     """One witness whose four evaluations are all nonzero mod l suffices."""
-    residues = []
-    eliminated_by = None
-    failed = []
-    for wd in data:
-        res = tuple(
-            (eps, e, reduce_mod(val, ell))
-            for (eps, e), val in zip(BOREL_POINTS, wd.borel_values)
-        )
-        residues.append((wd.p, res))
-        if all(r for _, _, r in res):
-            if eliminated_by is None:
-                eliminated_by = wd.p
-        else:
-            failed.append(wd.p)
-    return BorelRecord(eliminated_by, tuple(residues), tuple(failed))
+    residues = tuple(
+        (wd.p, tuple((*pt, reduce_mod(v, ell)) for pt, v in zip(BOREL_POINTS, wd.borel_values)))
+        for wd in data
+    )
+    by, failed = _first_passing(residues, lambda res: all(r for _, _, r in res))
+    return BorelRecord(by, residues, failed)
 
 
 _PLUS_ONE_QUARTIC = QPolynomial([1, 1]) ** 4
@@ -175,40 +169,20 @@ def eliminate_cartan(ell: int, data: list[WitnessData]) -> CartanRecord:
     """Non-split branch: some witness has P_p^(4) mod l equal to neither
     (1 - T)^4 nor (1 + T)^4.  Separability of each P_p mod l is recorded as
     the supporting fact for the normalizer-coset argument."""
-    plus = reduce_poly_mod(_PLUS_ONE_QUARTIC, ell, 5)
-    minus = reduce_poly_mod(_MINUS_ONE_QUARTIC, ell, 5)
-    reductions = []
-    separability = []
-    eliminated_by = None
-    failed = []
-    for wd in data:
-        red = reduce_poly_mod(wd.p4, ell, 5)
-        reductions.append((wd.p, red))
-        separability.append((wd.p, reduce_mod(wd.disc, ell)))
-        if red != plus and red != minus:
-            if eliminated_by is None:
-                eliminated_by = wd.p
-        else:
-            failed.append(wd.p)
-    return CartanRecord(eliminated_by, tuple(reductions), tuple(separability), tuple(failed))
+    excluded = [reduce_poly_mod(f, ell, 5) for f in (_PLUS_ONE_QUARTIC, _MINUS_ONE_QUARTIC)]
+    reductions = tuple((wd.p, reduce_poly_mod(wd.p4, ell, 5)) for wd in data)
+    separability = tuple((wd.p, reduce_mod(wd.disc, ell)) for wd in data)
+    by, failed = _first_passing(reductions, lambda red: red not in excluded)
+    return CartanRecord(by, reductions, separability, failed)
 
 
 def eliminate_exceptional(ell: int, data: list[WitnessData]) -> ExceptionalRecord:
     """Some witness must have u_p mod l outside {0, 1, 2, 4} and not a root
     of u^2 - 3u + 1."""
-    values = []
-    eliminated_by = None
-    failed = []
-    for wd in data:
-        u = reduce_mod(wd.u, ell)
-        values.append((wd.p, u))
-        small = {x % ell for x in EXCEPTIONAL_TRACE_SET}
-        if u not in small and (u * u - 3 * u + 1) % ell != 0:
-            if eliminated_by is None:
-                eliminated_by = wd.p
-        else:
-            failed.append(wd.p)
-    return ExceptionalRecord(eliminated_by, tuple(values), tuple(failed))
+    small = {x % ell for x in EXCEPTIONAL_TRACE_SET}
+    values = tuple((wd.p, reduce_mod(wd.u, ell)) for wd in data)
+    by, failed = _first_passing(values, lambda u: u not in small and (u * u - 3 * u + 1) % ell != 0)
+    return ExceptionalRecord(by, values, failed)
 
 
 def certify_with_data(ell: int, data: list[WitnessData]) -> Certificate:
@@ -224,12 +198,12 @@ def certify_with_data(ell: int, data: list[WitnessData]) -> Certificate:
     )
 
 
-def certify(ell: int, witnesses=(3, 5), mode: str = MODE_FE) -> Certificate:
+def certify(ell: int, witnesses=(3, 5)) -> Certificate:
     """Run the three-branch elimination for one l; witnesses default to the
     smallest usable primes 3 and 5."""
     witnesses = tuple(witnesses)
     _validate(ell, witnesses)
-    data = [WitnessData.from_prime(p, mode) for p in witnesses]
+    data = [WitnessData.from_prime(p) for p in witnesses]
     return certify_with_data(ell, data)
 
 
@@ -257,44 +231,19 @@ class RangeReport:
         return not self.errors and self.certified_count == len(self.certificates)
 
 
-def _certify_prime_range(lo: int, hi: int, data) -> tuple[list[Certificate], list[tuple[int, str]]]:
+def certify_range(ell_min: int, ell_max: int, witnesses=(3, 5)) -> RangeReport:
+    """Certify every prime in [ell_min, ell_max], ascending; the witness
+    data is computed once and reduced per l."""
+    if not MIN_ELL <= ell_min <= ell_max:
+        raise OutOfRangeError(f"need {MIN_ELL} <= ell_min <= ell_max")
+    data = [WitnessData.from_prime(p) for p in witnesses]
     certs: list[Certificate] = []
     errors: list[tuple[int, str]] = []
-    for ell in primes_in_range(lo, hi):
+    for ell in primes_in_range(ell_min, ell_max):
         try:
             certs.append(certify_with_data(ell, data))
         except ValueError as exc:
             errors.append((ell, str(exc)))
-    return certs, errors
-
-
-def _range_worker(args):
-    lo, hi, data = args
-    return _certify_prime_range(lo, hi, data)
-
-
-def certify_range(ell_min: int, ell_max: int, witnesses=(3, 5), jobs: int = 1) -> RangeReport:
-    """Certify every prime in [ell_min, ell_max], ascending.
-
-    Witness data is computed once and reduced per l.  With jobs > 1 the
-    prime range is split into contiguous chunks collected in order, so the
-    output is independent of the worker count.
-    """
-    if not MIN_ELL <= ell_min <= ell_max:
-        raise OutOfRangeError(f"need {MIN_ELL} <= ell_min <= ell_max")
-    witnesses = tuple(witnesses)
-    data = [WitnessData.from_prime(p) for p in witnesses]
-    if jobs <= 1:
-        certs, errors = _certify_prime_range(ell_min, ell_max, data)
-        return RangeReport(tuple(certs), tuple(errors))
-    bounds = [ell_min + (ell_max - ell_min + 1) * i // jobs for i in range(jobs + 1)]
-    chunks = [(bounds[i], bounds[i + 1] - 1, data) for i in range(jobs)]
-    certs = []
-    errors = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part_certs, part_errors in pool.map(_range_worker, chunks):
-            certs.extend(part_certs)
-            errors.extend(part_errors)
     return RangeReport(tuple(certs), tuple(errors))
 
 

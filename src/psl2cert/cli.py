@@ -2,9 +2,13 @@
 runs, surface invariants, and small-l group identity checks.
 
 Every command writes deterministic bytes to stdout for identical flags;
-timing goes to stderr.  Exit codes: 0 success, 1 bad input or cache file,
-2 shape-law violation, 3 Weil/Hasse-bound or kernel-check failure, 4
-out-of-range request, 5 some l given to `certify` is Inconclusive or errored.
+timing goes to stderr.  Exit codes: 0 success, 1 usage error, bad input or
+cache file, 2 shape-law violation, 3 any other arithmetic check failure
+(Weil/Hasse bound, trace kernel), 4 out-of-range request (including a field
+beyond the 2^20-entry character table), 5 some l given to `certify` is
+Inconclusive or errored.  `main` maps a library exception to its exit code
+through EXIT_CODES and prints one `error:` line; the only handler inside a
+command is the one for `lpoly --cache` file errors.
 """
 
 from __future__ import annotations
@@ -22,15 +26,10 @@ from .certify import (
     certify_range,
 )
 from .lpoly import (
-    FULL_DIRECT_MAX_P,
     MODE_FE,
     MODE_FULL,
-    HasseBoundError,
-    KernelCheckError,
     LPolynomial,
-    ReciprocityError,
     ShapeViolation,
-    WeilBoundError,
     lpolynomial,
     shape_classify,
 )
@@ -61,6 +60,15 @@ EXIT_SHAPE = 2
 EXIT_WEIL = 3
 EXIT_RANGE = 4
 EXIT_INCONCLUSIVE = 5
+
+# Library exceptions to exit codes, most specific first: ShapeViolation is
+# an ArithmeticError and OutOfRangeError a ValueError.
+EXIT_CODES = (
+    (ShapeViolation, EXIT_SHAPE),
+    (ArithmeticError, EXIT_WEIL),
+    (OutOfRangeError, EXIT_RANGE),
+    ((ValueError, OSError), EXIT_USAGE),
+)
 
 GROUP_CHECK_MAX_ELL = 13  # breadth-first closure guard
 
@@ -118,9 +126,6 @@ def cmd_lpoly(args) -> int:
         _err(f"{p} is not an odd prime")
         return EXIT_USAGE
     mode = MODE_FULL if args.mode == "full" else MODE_FE
-    if mode == MODE_FULL and p > FULL_DIRECT_MAX_P:
-        _err(f"full-direct mode limited to p <= {FULL_DIRECT_MAX_P}")
-        return EXIT_RANGE
     entries: dict[int, LPolynomial] = {}
     modes: dict[int, str] = {}
     if args.cache:
@@ -132,22 +137,15 @@ def cmd_lpoly(args) -> int:
             _err(f"cache {args.cache}: {exc}")
             return EXIT_USAGE
         modes = {q: MODE_FE for q in entries}
-    try:
-        if p in entries and mode == MODE_FE:
-            lp = entries[p]
-        else:
-            lp = lpolynomial(p, mode)
-            entries[p] = lp
-            modes[p] = mode
-            if args.cache:
-                save_cache(args.cache, entries, modes)
-        shape = shape_classify(lp)
-    except ShapeViolation as exc:
-        _err(str(exc))
-        return EXIT_SHAPE
-    except (WeilBoundError, HasseBoundError, KernelCheckError, ReciprocityError) as exc:
-        _err(str(exc))
-        return EXIT_WEIL
+    if p in entries and mode == MODE_FE:
+        lp = entries[p]
+    else:
+        lp = lpolynomial(p, mode)
+        entries[p] = lp
+        modes[p] = mode
+        if args.cache:
+            save_cache(args.cache, entries, modes)
+    shape = shape_classify(lp)
     print(f"P_{p} = {lp}; shape: {shape.describe()}")
     return EXIT_OK
 
@@ -156,15 +154,8 @@ def cmd_scan(args) -> int:
     t0 = time.perf_counter()
     print("p,p_mod_4,a,b,shape_b,shape_b_times_p_integral")
     for p in primes_in_range(3, args.pmax):
-        try:
-            lp = lpolynomial(p)
-            shape = shape_classify(lp)
-        except ShapeViolation as exc:
-            _err(str(exc))
-            return EXIT_SHAPE
-        except (WeilBoundError, HasseBoundError, KernelCheckError) as exc:
-            _err(str(exc))
-            return EXIT_WEIL
+        lp = lpolynomial(p)
+        shape = shape_classify(lp)
         integral = (shape.b * p).denominator == 1
         print(
             f"{p},{p % 4},{frac_str(lp.a)},{frac_str(lp.b)},{frac_str(shape.b)},"
@@ -186,22 +177,13 @@ def _cert_line(cert) -> str:
 
 def cmd_certify(args) -> int:
     t0 = time.perf_counter()
-    errors: list[tuple[int, str]] = []
-    try:
-        witnesses = tuple(int(w) for w in args.witnesses.split(","))
-        if args.ell is not None:
-            certs = [certify(args.ell, witnesses)]
-        else:
-            lo, _, hi = args.ell_range.partition(":")
-            report = certify_range(int(lo), int(hi), witnesses, jobs=args.jobs)
-            certs = list(report)
-            errors = list(report.errors)
-    except OutOfRangeError as exc:
-        _err(str(exc))
-        return EXIT_RANGE
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
+    witnesses = tuple(int(w) for w in args.witnesses.split(","))
+    if args.ell is not None:
+        certs, errors = [certify(args.ell, witnesses)], ()
+    else:
+        lo, _, hi = args.ell_range.partition(":")
+        report = certify_range(int(lo), int(hi), witnesses)
+        certs, errors = list(report), report.errors
     for cert in certs:
         print(_cert_line(cert))
     for ell, msg in errors:
@@ -314,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--ell-range", dest="ell_range")
     p_cert.add_argument("--witnesses", default="3,5")
     p_cert.add_argument("--json", default=None)
-    p_cert.add_argument("--jobs", type=int, default=1)
     p_cert.set_defaults(func=cmd_certify)
 
     p_inv = sub.add_parser("invariants", help="c4, c6, Delta, j and Kodaira types")
@@ -328,8 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_USAGE if exc.code else EXIT_OK
+    try:
+        return args.func(args)
+    except (ArithmeticError, ValueError, OSError) as exc:
+        _err(str(exc))
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 def console_main() -> None:

@@ -23,6 +23,12 @@ from .modarith import is_prime
 
 CHI_TABLE_MAX_Q = 1 << 20  # full character table only below this size
 
+
+class OutOfRangeError(ValueError):
+    """A request beyond a supported size: a field larger than the character
+    table, Full mode above its prime guard, or l below the certifiable range."""
+
+
 Poly = tuple[int, ...]  # coefficients over F_p, constant term first
 
 
@@ -87,7 +93,8 @@ def _monic_polys(p: int, d: int):
 
 def is_irreducible(m: Poly, p: int) -> bool:
     """Exhaustive test for monic m of degree <= 4: root check plus, in
-    degree 4, trial division by every irreducible quadratic."""
+    degree 4, trial division by every monic quadratic (a rootless m has no
+    reducible quadratic factor)."""
     d = len(m) - 1
     if d < 1 or d > 4:
         raise ValueError("degree out of range 1..4")
@@ -98,7 +105,7 @@ def is_irreducible(m: Poly, p: int) -> bool:
     if d < 4:
         return True  # degree 2/3 reducible only via a linear factor
     for q2 in _monic_polys(p, 2):
-        if not _has_root(q2, p) and poly_mod(m, q2, p) == ():
+        if poly_mod(m, q2, p) == ():
             return False
     return True
 
@@ -232,7 +239,10 @@ class FieldCtx:
         """
         if self._chi is None:
             if self.q > CHI_TABLE_MAX_Q:
-                raise ValueError("field too large for a character table")
+                raise OutOfRangeError(
+                    f"field of size {self.p}^{self.k} = {self.q} exceeds the "
+                    f"{CHI_TABLE_MAX_Q}-entry character table"
+                )
             x = self.coeff_arrays(np.arange(self.q))
             chi = np.full(self.q, -1, dtype=np.int8)
             chi[self.encode_arrays(self.mul_arrays(x, x))] = 1

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import FieldCtx, FqElem, enum_irreducibles, fq_ctx, quad_char
+from .gf import FieldCtx, FqElem, OutOfRangeError, enum_irreducibles, fq_ctx, quad_char
 from .modarith import is_prime
 from .qpoly import (
     Q,
@@ -230,7 +230,7 @@ def lpolynomial(p: int, mode: str = MODE_FE) -> LPolynomial:
     if mode not in (MODE_FE, MODE_FULL):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == MODE_FULL and p > FULL_DIRECT_MAX_P:
-        raise ValueError(f"full-direct mode limited to p <= {FULL_DIRECT_MAX_P}")
+        raise OutOfRangeError(f"full-direct mode limited to p <= {FULL_DIRECT_MAX_P}")
 
     a1 = trace_sum(p, 1)
     a2 = trace_sum(p, 2)

@@ -18,7 +18,9 @@ from psl2cert.certify import (
     eliminate_exceptional,
     verify_certificate,
 )
-from psl2cert.qpoly import QPolynomial, eval_exact, nth_power_poly, reduce_mod
+from psl2cert.modarith import primes_in_range
+from psl2cert.qpoly import QPolynomial, eval_exact, nth_power_poly, reduce_mod, reduce_poly_mod
+from psl2cert.tensor import trace_square_invariant
 
 
 def witness(p):
@@ -103,6 +105,19 @@ def test_exceptional_residues():
     assert (9 * 9 - 27 + 1) % 13 == 3  # stays nonzero
 
 
+def test_exceptional_u_is_the_tensor_trace_square_invariant():
+    # u_p mod l as the certificate records it equals the squared trace read
+    # off P_p mod l by the tensor model, in both residue classes mod 4
+    data = [witness(p) for p in (3, 5, 7, 13, 17, 19)]
+    pairs = 0
+    for ell in primes_in_range(11, 2000):
+        usable = [wd for wd in data if wd.p != ell]
+        for wd, (p, u) in zip(usable, eliminate_exceptional(ell, usable).witness_u):
+            assert u == trace_square_invariant(reduce_poly_mod(wd.lp.as_qpoly(), ell, 5), p, ell)
+            pairs += 1
+    assert pairs == 1791
+
+
 def test_certify_11_and_19():
     c11 = certify(11)
     assert c11.verdict == "Certified"
@@ -139,11 +154,14 @@ def test_certify_range_validation():
         certify_range(13, 11)
 
 
-def test_certify_range_parallel_matches_serial():
-    serial = certify_range(11, 200)
-    parallel = certify_range(11, 200, jobs=3)
-    assert [certificate_json(c) for c in serial] == [certificate_json(c) for c in parallel]
-    assert serial.errors == parallel.errors == ()
+def test_certify_range_matches_single_certify():
+    # the range path reuses one set of witness data; certify() rebuilds it
+    report = certify_range(11, 200)
+    assert report.errors == ()
+    assert [c.ell for c in report] == primes_in_range(11, 200)
+    assert [certificate_json(c) for c in report] == [
+        certificate_json(certify(c.ell)) for c in report
+    ]
 
 
 def test_certify_range_aggregates_per_ell_errors():

@@ -4,8 +4,19 @@ import json
 
 import pytest
 
-from psl2cert.certify import verify_certificate
-from psl2cert.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_RANGE, EXIT_USAGE, load_cache, main
+from psl2cert import cli
+from psl2cert.certify import OutOfRangeError, verify_certificate
+from psl2cert.cli import (
+    EXIT_INCONCLUSIVE,
+    EXIT_OK,
+    EXIT_RANGE,
+    EXIT_SHAPE,
+    EXIT_USAGE,
+    EXIT_WEIL,
+    load_cache,
+    main,
+)
+from psl2cert.lpoly import KernelCheckError, ShapeViolation
 
 
 def run(capsys, *argv):
@@ -92,6 +103,53 @@ def test_certify_rejects_malformed_witnesses(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lpoly", "--p", "1031"],  # the first p with p^2 above the character table
+        ["certify", "--ell", "11", "--witnesses", "3,1031"],
+    ],
+)
+def test_field_beyond_character_table_is_out_of_range(capsys, argv):
+    assert main(argv) == EXIT_RANGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lpoly"],  # --p is required
+        ["certify", "--ell", "11", "--jobs", "2"],  # not a certify flag
+        ["scan", "--pmax", "x"],
+    ],
+)
+def test_usage_errors_exit_usage(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (ShapeViolation("bad shape"), EXIT_SHAPE),  # an ArithmeticError, mapped before them
+        (KernelCheckError("bad kernel"), EXIT_WEIL),
+        (OutOfRangeError("too large"), EXIT_RANGE),  # a ValueError, mapped before them
+        (ValueError("bad value"), EXIT_USAGE),
+    ],
+)
+def test_library_errors_map_to_exit_codes(capsys, monkeypatch, exc, code):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "lpolynomial", fail)
+    assert main(["scan", "--pmax", "5"]) == code
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 def test_certify_range_reports_witness_clash(capsys):
