@@ -15,6 +15,11 @@ A certificate records every residue it relied on together with the exact
 rational witness data, so an independent checker can re-verify it without
 recomputing any point counts.  The reduction from these residue conditions
 to actual surjectivity onto PSL2(F_l) is external to this artifact.
+
+The recorded discriminant, and with it the cartan `separability` residue, is
+0 for every witness p = 1 (mod 4): P_p is a square there, so that residue
+asserts nothing for such witnesses.  Recording something meaningful instead
+changes certificate bytes and needs a new certificate format.
 """
 
 from __future__ import annotations
@@ -24,19 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gf import OutOfRangeError
-from .lpoly import LPolynomial, lpolynomial, shape_classify
+from .lpoly import LPolynomial, SquareShape, lpolynomial, shape_classify
 from .modarith import is_prime, primes_in_range
-from .qpoly import (
-    Q,
-    QPolynomial,
-    discriminant,
-    eval_exact,
-    frac_str,
-    nth_power_poly,
-    parse_frac,
-    reduce_mod,
-    reduce_poly_mod,
-)
+from .qpoly import Q, QPolynomial, frac_str, parse_frac, reduce_mod, reduce_poly_mod
+
+# Unused here; kept because perfbench's traced worker wraps these two names.
+from .qpoly import discriminant, nth_power_poly  # noqa: F401
 
 MIN_ELL = 11
 
@@ -60,14 +58,29 @@ class WitnessData:
     p4: QPolynomial
     u: Fraction
     borel_values: tuple[Fraction, ...]  # P4 at eps * p^(4e), BOREL_POINTS order
-    disc: Fraction  # discriminant of P_p (separability support fact)
+    disc: Fraction  # discriminant of P_p; 0 whenever p = 1 (mod 4)
 
     @staticmethod
     def from_lpolynomial(lp: LPolynomial) -> "WitnessData":
-        p4 = nth_power_poly(lp.as_qpoly(), 4)
+        """Closed form in s = shape.b, with no power sums or resultants.
+
+        The squares of the inverse roots of P_p are beta, conj(beta), each
+        twice, with beta conj(beta) = 1 and beta + conj(beta) = s^2 - 2
+        (square shape, P_p = (1 + sT + T^2)^2) or 2 - s^2 (biquadratic,
+        P_p = 1 + (s^2 - 2)T^2 + T^4).  So P_p^(4) = (1 - c4 T + T^2)^2 with
+        c4 = beta^2 + conj(beta)^2 = (s^2 - 2)^2 - 2 in both classes.  A
+        square has disc 0; the biquadratic P_p is (1 + rT + T^2)(1 - rT + T^2)
+        with r^2 = 4 - s^2, so disc = (r^2 - 4)^2 (4 r^2)^2 = 16 s^4 (s^2 - 4)^2.
+        """
         shape = shape_classify(lp)
-        values = tuple(eval_exact(p4, eps * Q(lp.p) ** (4 * e)) for eps, e in BOREL_POINTS)
-        return WitnessData(lp.p, lp, p4, shape.u, values, discriminant(lp.as_qpoly()))
+        u = shape.u  # s^2
+        c4 = (u - 2) ** 2 - 2
+        p4 = QPolynomial([1, -2 * c4, c4 * c4 + 2, -2 * c4, 1])
+        num, den = c4.numerator, c4.denominator  # (1 - c4 x + x^2)^2 in one Fraction
+        points = (eps * lp.p ** (4 * e) for eps, e in BOREL_POINTS)
+        values = tuple(Q((den * (1 + x * x) - num * x) ** 2, den * den) for x in points)
+        disc = Q(0) if isinstance(shape, SquareShape) else 16 * u * u * (u - 4) ** 2
+        return WitnessData(lp.p, lp, p4, u, values, disc)
 
     @staticmethod
     def from_prime(p: int) -> "WitnessData":
@@ -167,8 +180,9 @@ _MINUS_ONE_QUARTIC = QPolynomial([1, -1]) ** 4
 
 def eliminate_cartan(ell: int, data: list[WitnessData]) -> CartanRecord:
     """Non-split branch: some witness has P_p^(4) mod l equal to neither
-    (1 - T)^4 nor (1 + T)^4.  Separability of each P_p mod l is recorded as
-    the supporting fact for the normalizer-coset argument."""
+    (1 - T)^4 nor (1 + T)^4.  disc(P_p) mod l is recorded per witness as the
+    separability fact for the normalizer-coset argument; it is 0, and says
+    nothing, for every witness p = 1 (mod 4), whose P_p is a square."""
     excluded = [reduce_poly_mod(f, ell, 5) for f in (_PLUS_ONE_QUARTIC, _MINUS_ONE_QUARTIC)]
     reductions = tuple((wd.p, reduce_poly_mod(wd.p4, ell, 5)) for wd in data)
     separability = tuple((wd.p, reduce_mod(wd.disc, ell)) for wd in data)

@@ -4,17 +4,20 @@ runs, surface invariants, and small-l group identity checks.
 Every command writes deterministic bytes to stdout for identical flags;
 timing goes to stderr.  Exit codes: 0 success, 1 usage error, bad input or
 cache file, 2 shape-law violation, 3 any other arithmetic check failure
-(Weil/Hasse bound, trace kernel), 4 out-of-range request (including a field
-beyond the 2^20-entry character table), 5 some l given to `certify` is
-Inconclusive or errored.  `main` maps a library exception to its exit code
-through EXIT_CODES and prints one `error:` line; the only handler inside a
-command is the one for `lpoly --cache` file errors.
+(Weil/Hasse bound, trace kernel, a certificate that `verify` rejects), 4
+out-of-range request (including a field beyond the 2^20-entry character
+table), 5 some l given to `certify` is Inconclusive or errored.  `main` maps
+a library exception to its exit code through EXIT_CODES and prints one
+`error:` line; the only handler inside a command is the one for
+`lpoly --cache` file errors.  `--json` and `--cache` files are replaced
+atomically, never left half written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -24,12 +27,14 @@ from .certify import (
     certificate_to_dict,
     certify,
     certify_range,
+    verify_certificate,
 )
 from .lpoly import (
     MODE_FE,
     MODE_FULL,
     LPolynomial,
     ShapeViolation,
+    WeilBoundError,
     lpolynomial,
     shape_classify,
 )
@@ -79,14 +84,30 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
+def _write_json(path: str, payload) -> None:
+    """Write payload as indented JSON to a temp file beside path, then
+    rename it over path: a failed write leaves the old file as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # L-polynomial cache
 
 
 def load_cache(path: str) -> dict[int, LPolynomial]:
     """Load and re-validate a cache file; entries that fail the coefficient
-    invariants are rejected wholesale.  One deterministically chosen entry
-    is recomputed from scratch and must match bit for bit."""
+    invariants or the shape law are rejected wholesale.  One
+    deterministically chosen entry is recomputed from scratch and must match
+    bit for bit."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("version") != CACHE_VERSION:
@@ -95,6 +116,7 @@ def load_cache(path: str) -> dict[int, LPolynomial]:
     for key, rec in doc.get("entries", {}).items():
         p = int(key)
         entries[p] = LPolynomial(p, parse_frac(rec["a"]), parse_frac(rec["b"]))
+        shape_classify(entries[p])
     if entries:
         rng = random.Random(",".join(sorted(doc["entries"])))
         probe = rng.choice(sorted(entries))
@@ -111,9 +133,7 @@ def save_cache(path: str, entries: dict[int, LPolynomial], modes: dict[int, str]
             for p, lp in sorted(entries.items())
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +153,10 @@ def cmd_lpoly(args) -> int:
             entries = load_cache(args.cache)
         except FileNotFoundError:
             entries = {}
-        except (OSError, ValueError, KeyError) as exc:
+        except (
+            OSError, ValueError, KeyError, TypeError, AttributeError,  # unreadable or malformed
+            ShapeViolation, WeilBoundError,  # an entry that is no possible P_p
+        ) as exc:
             _err(f"cache {args.cache}: {exc}")
             return EXIT_USAGE
         modes = {q: MODE_FE for q in entries}
@@ -193,11 +216,19 @@ def cmd_certify(args) -> int:
     if args.json:
         docs = [certificate_to_dict(c) for c in certs]
         payload = docs[0] if args.ell is not None else docs
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _write_json(args.json, payload)
     print(f"certify took {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return EXIT_OK if certified == len(certs) and not errors else EXIT_INCONCLUSIVE
+
+
+def cmd_verify(args) -> int:
+    """Re-check what `certify --json` wrote: one certificate or a list."""
+    with open(args.file, encoding="utf-8") as fh:
+        payload = json.load(fh)  # not JSON: a ValueError, exit 1
+    docs = payload if isinstance(payload, list) else [payload]
+    verified = sum(1 for doc in docs if verify_certificate(doc))
+    print(f"verified {verified}/{len(docs)}")
+    return EXIT_OK if verified == len(docs) else EXIT_WEIL
 
 
 def cmd_invariants(_args) -> int:
@@ -297,6 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--witnesses", default="3,5")
     p_cert.add_argument("--json", default=None)
     p_cert.set_defaults(func=cmd_certify)
+
+    p_ver = sub.add_parser("verify", help="re-check a certify --json file")
+    p_ver.add_argument("file")
+    p_ver.set_defaults(func=cmd_verify)
 
     p_inv = sub.add_parser("invariants", help="c4, c6, Delta, j and Kodaira types")
     p_inv.set_defaults(func=cmd_invariants)

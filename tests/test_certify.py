@@ -4,6 +4,8 @@ import json
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psl2cert.certify import (
     BOREL_POINTS,
@@ -18,8 +20,16 @@ from psl2cert.certify import (
     eliminate_exceptional,
     verify_certificate,
 )
+from psl2cert.lpoly import LPolynomial
 from psl2cert.modarith import primes_in_range
-from psl2cert.qpoly import QPolynomial, eval_exact, nth_power_poly, reduce_mod, reduce_poly_mod
+from psl2cert.qpoly import (
+    QPolynomial,
+    discriminant,
+    eval_exact,
+    nth_power_poly,
+    reduce_mod,
+    reduce_poly_mod,
+)
 from psl2cert.tensor import trace_square_invariant
 
 
@@ -31,14 +41,42 @@ W3 = witness(3)
 W5 = witness(5)
 
 
+def assert_matches_oracle(wd: WitnessData):
+    """The closed form equals the Newton-identity and resultant path."""
+    lp = wd.lp
+    p4 = nth_power_poly(lp.as_qpoly(), 4)
+    assert wd.p4 == p4
+    assert wd.u == ((lp.a / 2) ** 2 if lp.p % 4 == 1 else lp.b + 2)
+    points = (eps * Q(lp.p) ** (4 * e) for eps, e in BOREL_POINTS)
+    assert wd.borel_values == tuple(eval_exact(p4, x) for x in points)
+    assert wd.disc == discriminant(lp.as_qpoly())
+
+
 def test_witness_data_invariants():
-    assert W3.p4 == nth_power_poly(W3.lp.as_qpoly(), 4)
     assert W3.u == Q(16, 9)
     assert W5.u == Q(4, 25)
-    assert W3.borel_values == tuple(
-        eval_exact(W3.p4, eps * Q(3) ** (4 * e)) for eps, e in BOREL_POINTS
-    )
     assert W3.disc == Q(2**16 * 5**2, 3**8)
+    assert W5.disc == 0  # P_5 is a square
+    for p in primes_in_range(3, 300):
+        assert_matches_oracle(witness(p))
+
+
+@st.composite
+def shape_law_lpolynomials(draw):
+    """P_p obeying the shape law for an odd prime p < 10^4, with b*p = beta
+    and the shape's b in [-2, 2] (square) or [0, 2] (biquadratic)."""
+    p = draw(st.sampled_from(primes_in_range(3, 10**4)))
+    if p % 4 == 1:
+        beta = draw(st.integers(min_value=-2 * p, max_value=2 * p))
+        return LPolynomial(p, Q(2 * beta, p), Q(beta, p) ** 2 + 2)
+    beta = draw(st.integers(min_value=0, max_value=2 * p))
+    return LPolynomial(p, Q(0), Q(beta, p) ** 2 - 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape_law_lpolynomials())
+def test_witness_closed_form_matches_oracle_on_shape_law_polynomials(lp):
+    assert_matches_oracle(WitnessData.from_lpolynomial(lp))
 
 
 def test_borel_witness_3_at_11():
@@ -186,22 +224,52 @@ def test_monotonicity_adding_witnesses():
                 assert getattr(both, branch).eliminated
 
 
+def string_leaves(node, path=()):
+    """(path, value) for every string leaf of a JSON document."""
+    if isinstance(node, str):
+        yield path, node
+    elif isinstance(node, dict):
+        for key, child in node.items():
+            yield from string_leaves(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from string_leaves(child, path + (i,))
+
+
+def replaced(doc, path, value):
+    copy = json.loads(json.dumps(doc))
+    node = copy
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return copy
+
+
+def alternatives(leaf: str):
+    """Different strings for one leaf: a nearby value, an equal rational in
+    another spelling, and a foreign token."""
+    num, _, den = leaf.partition("/")
+    out = {leaf + "0", "Inconclusive" if leaf == "Certified" else "Certified"}
+    if num.lstrip("-").isdigit():
+        out.add(f"{int(num) + 1}/{den}" if den else str(int(num) + 1))
+        if den:
+            out.add(f"{2 * int(num)}/{2 * int(den)}")
+    return out - {leaf}
+
+
 def test_certificate_checker_accepts_and_rejects():
-    cert = certify(19)
-    doc = certificate_to_dict(cert)
-    assert verify_certificate(doc)
+    # 19 needs witness 5 for the exceptional branch, 1601 for the borel one
+    for ell in (19, 1601):
+        cert = certify(ell)
+        assert verify_certificate(certificate_to_dict(cert))
+        doc = json.loads(certificate_json(cert))
+        assert verify_certificate(doc)
 
-    tampered = json.loads(certificate_json(cert))
-    tampered["exceptional"]["witness_u"][0][1] = "1"
-    assert not verify_certificate(tampered)
-
-    truncated = json.loads(certificate_json(cert))
-    truncated["witness_data"][0]["b"] = "1/9"
-    assert not verify_certificate(truncated)
-
-    relabeled = json.loads(certificate_json(cert))
-    relabeled["verdict"] = "Inconclusive"
-    assert not verify_certificate(relabeled)
+        leaves = list(string_leaves(doc))
+        assert {path[0] for path, _ in leaves} == set(doc)  # every field has a string leaf
+        for path, leaf in leaves:
+            for other in alternatives(leaf):
+                assert not verify_certificate(replaced(doc, path, other)), (ell, path, other)
 
 
 def test_certificates_deterministic():

@@ -199,11 +199,11 @@ def test_cache_roundtrip(capsys, tmp_path):
 
 
 def test_cache_detects_corruption(tmp_path):
-    # a well-formed entry that is simply not P_5: the load-time spot check
-    # recomputes and must reject it
+    # a well-formed entry of the right shape that is simply not P_5: the
+    # load-time spot check recomputes and must reject it
     path = tmp_path / "bad-cache.json"
     path.write_text(
-        json.dumps({"version": 1, "entries": {"5": {"a": "0/1", "b": "2/5", "mode": "FE"}}})
+        json.dumps({"version": 1, "entries": {"5": {"a": "4/5", "b": "54/25", "mode": "FE"}}})
     )
     with pytest.raises(ValueError):
         load_cache(str(path))
@@ -219,12 +219,39 @@ def test_cache_rejects_invalid_coefficients(tmp_path):
         load_cache(str(path))
 
 
+# P_13 is right; 1 + T^4 passes LPolynomial's checks but is not a square.
+# The load-time recount probes p = 13 here, so only the shape check sees p = 5.
+SHAPE_VIOLATING_CACHE = json.dumps(
+    {
+        "version": 1,
+        "entries": {
+            "5": {"a": "0/1", "b": "0/1", "mode": "FE"},
+            "13": {"a": "28/13", "b": "534/169", "mode": "FE"},
+        },
+    }
+)
+
+
+def test_cache_rejects_shape_violation(tmp_path):
+    path = tmp_path / "shape-cache.json"
+    path.write_text(SHAPE_VIOLATING_CACHE)
+    with pytest.raises(ShapeViolation):
+        load_cache(str(path))
+
+
 @pytest.mark.parametrize(
     "content",
     [
         "not json\n",  # fails to parse
-        # well-formed but not P_5: fails the load-time recount
+        # well-formed but not P_5, nor a square: fails the shape check
         json.dumps({"version": 1, "entries": {"5": {"a": "0/1", "b": "2/5", "mode": "FE"}}}),
+        SHAPE_VIOLATING_CACHE,
+        # well-formed and a square but not P_5: fails the load-time recount
+        json.dumps({"version": 1, "entries": {"5": {"a": "4/5", "b": "54/25", "mode": "FE"}}}),
+        # a root off the unit circle
+        json.dumps({"version": 1, "entries": {"5": {"a": "5/1", "b": "0/1", "mode": "FE"}}}),
+        "[]\n",  # JSON, but not a cache document
+        json.dumps({"version": 1, "entries": {"5": "1 + T^4"}}),
     ],
 )
 def test_lpoly_rejects_bad_cache_without_traceback(capsys, tmp_path, content):
@@ -235,3 +262,56 @@ def test_lpoly_rejects_bad_cache_without_traceback(capsys, tmp_path, content):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert path.read_text() == content
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--ell", "19", "--json"],
+        ["lpoly", "--p", "5", "--cache"],  # the cache already holds P_3
+    ],
+)
+def test_json_and_cache_writes_are_atomic(capsys, monkeypatch, tmp_path, argv):
+    path = tmp_path / "out.json"
+    assert main(["lpoly", "--p", "3", "--cache", str(path)]) == EXIT_OK
+    before = path.read_text()
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"partial": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    assert main(argv + [str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.endswith("error: disk full\n")
+    assert path.read_text() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_verify_command(capsys, tmp_path):
+    path = tmp_path / "certs.json"
+    assert run(capsys, "certify", "--ell-range", "11:200", "--json", str(path))[0] == EXIT_OK
+    code, out = run(capsys, "verify", str(path))
+    assert (code, out) == (EXIT_OK, "verified 42/42\n")
+
+    single = tmp_path / "one.json"
+    assert run(capsys, "certify", "--ell", "19", "--json", str(single))[0] == EXIT_OK
+    code, out = run(capsys, "verify", str(single))
+    assert (code, out) == (EXIT_OK, "verified 1/1\n")
+
+    docs = json.loads(path.read_text())
+    docs[3]["exceptional"]["witness_u"][0][1] = "1"
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(docs))
+    code, out = run(capsys, "verify", str(tampered))
+    assert (code, out) == (EXIT_WEIL, "verified 41/42\n")
+
+
+@pytest.mark.parametrize("content", [None, "not json\n"])  # missing, unparsable
+def test_verify_rejects_unreadable_file(capsys, tmp_path, content):
+    path = tmp_path / "certs.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["verify", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
