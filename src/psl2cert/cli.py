@@ -125,12 +125,11 @@ def load_cache(path: str) -> dict[int, LPolynomial]:
     return entries
 
 
-def save_cache(path: str, entries: dict[int, LPolynomial], modes: dict[int, str]) -> None:
+def save_cache(path: str, entries: dict[int, LPolynomial]) -> None:
     doc = {
         "version": CACHE_VERSION,
         "entries": {
-            str(p): {"a": frac_str(lp.a), "b": frac_str(lp.b), "mode": modes.get(p, MODE_FE)}
-            for p, lp in sorted(entries.items())
+            str(p): {"a": frac_str(lp.a), "b": frac_str(lp.b)} for p, lp in sorted(entries.items())
         },
     }
     _write_json(path, doc)
@@ -147,7 +146,6 @@ def cmd_lpoly(args) -> int:
         return EXIT_USAGE
     mode = MODE_FULL if args.mode == "full" else MODE_FE
     entries: dict[int, LPolynomial] = {}
-    modes: dict[int, str] = {}
     if args.cache:
         try:
             entries = load_cache(args.cache)
@@ -159,15 +157,13 @@ def cmd_lpoly(args) -> int:
         ) as exc:
             _err(f"cache {args.cache}: {exc}")
             return EXIT_USAGE
-        modes = {q: MODE_FE for q in entries}
     if p in entries and mode == MODE_FE:
         lp = entries[p]
     else:
         lp = lpolynomial(p, mode)
         entries[p] = lp
-        modes[p] = mode
         if args.cache:
-            save_cache(args.cache, entries, modes)
+            save_cache(args.cache, entries)
     shape = shape_classify(lp)
     print(f"P_{p} = {lp}; shape: {shape.describe()}")
     return EXIT_OK

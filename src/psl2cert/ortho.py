@@ -1,5 +1,7 @@
 """4x4 orthogonal group machinery over F_l: bilinear forms, reflections,
 Cartan-Dieudonne factorization, the spinor norm, and Omega membership.
+It also holds the package's n x n matrix arithmetic over F_l, which the
+SL2 (x) SL2 model in `tensor` uses for its 2x2 factors.
 
 The factorization is constructive and uses at most 4 reflections.  Its
 candidate vectors come from the coordinate grid {0..4}^4: every polynomial
@@ -30,6 +32,10 @@ GRID = 5  # candidate coordinates 0..4: one more than the degree of Q(x) Q(mx - 
 
 def identity(n: int = DIM) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def mat_reduce(a, ell: int) -> Mat:
+    return tuple(tuple(x % ell for x in row) for row in a)
 
 
 def mat_mul(a: Mat, b: Mat, ell: int) -> Mat:
@@ -112,7 +118,7 @@ class GramForm:
     def __post_init__(self):
         if not is_prime(self.ell) or self.ell < 11:
             raise ValueError(f"l must be a prime >= 11, got {self.ell}")
-        g = tuple(tuple(x % self.ell for x in row) for row in self.gram)
+        g = mat_reduce(self.gram, self.ell)
         object.__setattr__(self, "gram", g)
         if g != mat_transpose(g):
             raise ValueError("form matrix is not symmetric")
@@ -136,7 +142,7 @@ class OrthMatrix:
 
     def __post_init__(self):
         ell = self.form.ell
-        m = tuple(tuple(x % ell for x in row) for row in self.mat)
+        m = mat_reduce(self.mat, ell)
         object.__setattr__(self, "mat", m)
         g = self.form.gram
         if mat_mul(mat_mul(mat_transpose(m), g, ell), m, ell) != g:

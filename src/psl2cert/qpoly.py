@@ -233,6 +233,8 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(s: str) -> Fraction:
+    if not isinstance(s, str):
+        raise TypeError(f"expected a 'num/den' string, got {s!r}")
     num, den = s.split("/")
     return Q(int(num), int(den))
 

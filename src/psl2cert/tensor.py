@@ -10,6 +10,9 @@ canonical sign), the trace-square invariant extracted from a quartic mod l,
 the block-diagonal group generated together with the complex-structure
 matrix, its Gaussian-integer 2x2 model, and breadth-first group orders for
 validating all of it at small l.
+
+This module holds only the model: the F_l matrix arithmetic it uses, for
+the 2x2 factors and the 4x4 products alike, lives in `ortho`.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .modarith import inv_mod, is_prime, legendre, sqrt_mod
-from .ortho import GramForm, Mat, OrthMatrix, identity, mat_mul
+from .ortho import GramForm, Mat, OrthMatrix, identity, mat_det, mat_mul, mat_neg, mat_reduce
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 M2_IDENTITY: Mat2 = ((1, 0), (0, 1))
+H: Mat2 = ((0, 1), (-1, 0))  # the symplectic pairing h on F_l^2
 
 # B0 below squares to -I; it is the second factor of the complex structure.
 B0: Mat2 = ((0, -1), (1, 0))
@@ -45,51 +49,15 @@ class CapExceededError(RuntimeError):
     """Breadth-first closure grew past the requested cap."""
 
 
-def m2_mul(a: Mat2, b: Mat2, ell: int) -> Mat2:
-    return (
-        (
-            (a[0][0] * b[0][0] + a[0][1] * b[1][0]) % ell,
-            (a[0][0] * b[0][1] + a[0][1] * b[1][1]) % ell,
-        ),
-        (
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0]) % ell,
-            (a[1][0] * b[0][1] + a[1][1] * b[1][1]) % ell,
-        ),
-    )
-
-
-def m2_det(a: Mat2, ell: int) -> int:
-    return (a[0][0] * a[1][1] - a[0][1] * a[1][0]) % ell
-
-
-def m2_neg(a: Mat2, ell: int) -> Mat2:
-    return tuple(tuple((-x) % ell for x in row) for row in a)
-
-
-def m2_reduce(a, ell: int) -> Mat2:
-    return tuple(tuple(x % ell for x in row) for row in a)
-
-
-def m2_trace(a: Mat2, ell: int) -> int:
-    return (a[0][0] + a[1][1]) % ell
-
-
 def sl2_generators(ell: int) -> list[Mat2]:
     """Standard generating pair of SL2(F_l)."""
     return [((0, ell - 1), (1, 0)), ((1, 1), (0, 1))]
 
 
-def tensor_gram(ell: int) -> Mat:
-    """Gram matrix of the product pairing in the tensor basis."""
-    h = ((0, 1), (-1, 0))
-    return tuple(
-        tuple(h[r % 2][c % 2] * h[r // 2][c // 2] % ell for c in range(4)) for r in range(4)
-    )
-
-
 @lru_cache(maxsize=None)
 def tensor_form(ell: int) -> GramForm:
-    return GramForm(ell, tensor_gram(ell))
+    """The product pairing h (x) h in the tensor basis."""
+    return GramForm(ell, _kron(H, H, ell))
 
 
 def _kron(a: Mat2, b: Mat2, ell: int) -> Mat:
@@ -100,20 +68,17 @@ def _kron(a: Mat2, b: Mat2, ell: int) -> Mat:
     )
 
 
-def tensor_action(a: Mat2, b: Mat2, ell: int) -> OrthMatrix:
-    """The orthogonal matrix by which the SL2 pair (A, B) acts."""
-    a, b = m2_reduce(a, ell), m2_reduce(b, ell)
-    if m2_det(a, ell) != 1 or m2_det(b, ell) != 1:
-        raise ValueError("both factors must have determinant 1")
-    return OrthMatrix(_kron(a, b, ell), tensor_form(ell))
-
-
 def tensor_action_matrix(a: Mat2, b: Mat2, ell: int) -> Mat:
-    """Same action as a raw matrix (usable below the l >= 11 form bound)."""
-    a, b = m2_reduce(a, ell), m2_reduce(b, ell)
-    if m2_det(a, ell) != 1 or m2_det(b, ell) != 1:
+    """The action of the SL2 pair (A, B) as a raw matrix (usable below the
+    l >= 11 form bound)."""
+    if mat_det(a, ell) != 1 or mat_det(b, ell) != 1:
         raise ValueError("both factors must have determinant 1")
     return _kron(a, b, ell)
+
+
+def tensor_action(a: Mat2, b: Mat2, ell: int) -> OrthMatrix:
+    """The orthogonal matrix by which the SL2 pair (A, B) acts."""
+    return OrthMatrix(tensor_action_matrix(a, b, ell), tensor_form(ell))
 
 
 class PairSL2(NamedTuple):
@@ -128,7 +93,7 @@ def _canonical_pair(a: Mat2, b: Mat2, ell: int) -> PairSL2:
     for x in (y for row in a for y in row):
         if x:
             if not 1 <= x <= (ell - 1) // 2:
-                a, b = m2_neg(a, ell), m2_neg(b, ell)
+                a, b = mat_neg(a, ell), mat_neg(b, ell)
             return PairSL2(a, b)
     raise AssertionError("zero matrix cannot arise from an SL2 pair")
 
@@ -146,7 +111,7 @@ def kronecker_decompose(m, ell: int | None = None) -> PairSL2:
     else:
         if ell is None:
             raise ValueError("raw matrix input needs l")
-        mat = tuple(tuple(x % ell for x in row) for row in m)
+        mat = mat_reduce(m, ell)
 
     def block(l: int, j: int) -> Mat2:
         return (
@@ -154,19 +119,11 @@ def kronecker_decompose(m, ell: int | None = None) -> PairSL2:
             (mat[2 * l + 1][2 * j], mat[2 * l + 1][2 * j + 1]),
         )
 
-    pivot = None
-    for l in range(2):
-        for j in range(2):
-            blk = block(l, j)
-            d = m2_det(blk, ell)
-            if d:
-                pivot = blk
-                break
-        if pivot:
-            break
+    blocks = (block(l, j) for l in range(2) for j in range(2))
+    pivot = next((blk for blk in blocks if mat_det(blk, ell)), None)
     if pivot is None:
         raise NotDecomposableError("every 2x2 block is singular")
-    d = m2_det(pivot, ell)
+    d = mat_det(pivot, ell)
     if legendre(d, ell) != 1:
         raise NotDecomposableError("pivot block determinant is a nonsquare")
     scale = inv_mod(sqrt_mod(d, ell), ell)
@@ -177,7 +134,7 @@ def kronecker_decompose(m, ell: int | None = None) -> PairSL2:
     b = tuple(
         tuple(block(l, j)[i0][j0] * a_inv_entry % ell for j in range(2)) for l in range(2)
     )
-    if m2_det(a, ell) != 1 or m2_det(b, ell) != 1 or _kron(a, b, ell) != mat:
+    if mat_det(a, ell) != 1 or mat_det(b, ell) != 1 or _kron(a, b, ell) != mat:
         raise NotDecomposableError("matrix is not a Kronecker product of an SL2 pair")
     return _canonical_pair(a, b, ell)
 
@@ -211,19 +168,14 @@ def trace_square_invariant(pmod: tuple[int, ...], p: int, ell: int) -> int:
 
 
 def block_diagonal_pair(a: Mat2, ell: int) -> Mat:
-    """diag(A, A) for A in SL2(F_l)."""
-    a = m2_reduce(a, ell)
-    if m2_det(a, ell) != 1:
-        raise ValueError("block must have determinant 1")
-    return tuple(
-        tuple(a[r % 2][c % 2] if r // 2 == c // 2 else 0 for c in range(4)) for r in range(4)
-    )
+    """diag(A, A) for A in SL2(F_l): the action of the pair (A, I)."""
+    return tensor_action_matrix(a, M2_IDENTITY, ell)
 
 
 def complex_structure(ell: int) -> Mat:
     """The matrix ((0, -I), (I, 0)); squares to -I and commutes with every
     block-diagonal pair."""
-    return _kron(M2_IDENTITY, m2_reduce(B0, ell), ell)
+    return _kron(M2_IDENTITY, B0, ell)
 
 
 class GaussianMat:
@@ -286,18 +238,10 @@ class GaussianMat:
         return f"GaussianMat[{fmt(self.entries[0][0])}, {fmt(self.entries[0][1])}; {fmt(self.entries[1][0])}, {fmt(self.entries[1][1])}] mod {self.ell}"
 
 
-def _equal_diagonal_blocks(mat: Mat, ell: int) -> Mat2 | None:
+def _equal_diagonal_blocks(mat: Mat, ell: int) -> bool:
+    """Whether the reduced matrix mat is diag(A, A) with A in SL2(F_l)."""
     a = ((mat[0][0], mat[0][1]), (mat[1][0], mat[1][1]))
-    lower = ((mat[2][2], mat[2][3]), (mat[3][2], mat[3][3]))
-    off_zero = all(
-        mat[r][c] == 0
-        for r in range(4)
-        for c in range(4)
-        if (r // 2) != (c // 2)
-    )
-    if off_zero and a == lower and m2_det(a, ell) == 1:
-        return a
-    return None
+    return mat_det(a, ell) == 1 and _kron(a, M2_IDENTITY, ell) == mat
 
 
 def to_gaussian(mat: Mat, ell: int) -> GaussianMat:
@@ -307,12 +251,11 @@ def to_gaussian(mat: Mat, ell: int) -> GaussianMat:
     Membership is checked by peeling: either the matrix is diag(A, A), or
     multiplying by the inverse complex structure makes it so.
     """
-    mat = tuple(tuple(x % ell for x in row) for row in mat)
-    gamma = complex_structure(ell)
-    gamma_inv = tuple(tuple((-x) % ell for x in row) for row in gamma)  # gamma^3 = -gamma
-    if _equal_diagonal_blocks(mat, ell) is None:
+    mat = mat_reduce(mat, ell)
+    gamma_inv = mat_neg(complex_structure(ell), ell)  # gamma^3 = -gamma
+    if not _equal_diagonal_blocks(mat, ell):
         peeled = mat_mul(mat, gamma_inv, ell)
-        if _equal_diagonal_blocks(peeled, ell) is None:
+        if not _equal_diagonal_blocks(peeled, ell):
             raise NotInGroupError("matrix is not in the extended block-diagonal group")
     return GaussianMat(
         ell,
@@ -335,7 +278,7 @@ def group_order_bfs(generators, ell: int, cap: int = 10_000_000) -> int:
                 key = key * ell + x
         return key
 
-    gens = [tuple(tuple(x % ell for x in row) for row in g) for g in generators]
+    gens = [mat_reduce(g, ell) for g in generators]
     start = identity(len(gens[0]))
     seen = {pack(start)}
     frontier = [start]

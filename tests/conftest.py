@@ -3,7 +3,7 @@
 import random
 
 from psl2cert.ortho import GramForm, OrthMatrix, mat_mul, reflection_matrix
-from psl2cert.tensor import M2_IDENTITY, m2_mul, sl2_generators
+from psl2cert.tensor import M2_IDENTITY, sl2_generators
 
 
 def rand_sl2(ell: int, rng: random.Random):
@@ -11,7 +11,7 @@ def rand_sl2(ell: int, rng: random.Random):
     s, t = sl2_generators(ell)
     m = M2_IDENTITY
     for _ in range(rng.randint(4, 20)):
-        m = m2_mul(m, rng.choice((s, t)), ell)
+        m = mat_mul(m, rng.choice((s, t)), ell)
     return m
 
 

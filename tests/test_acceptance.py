@@ -41,7 +41,6 @@ from psl2cert.tensor import (
     complex_structure,
     group_order_bfs,
     kronecker_decompose,
-    m2_neg,
     sl2_generators,
     tensor_action,
     tensor_action_matrix,
@@ -192,7 +191,7 @@ def test_criterion_09_tensor_suite():
     checks = []
     for ell in (11, 13, 19):
         rng = random.Random(2000 + ell)
-        neg = m2_neg(M2_IDENTITY, ell)
+        neg = mat_neg(M2_IDENTITY, ell)
         checks.append(tensor_action(M2_IDENTITY, M2_IDENTITY, ell).mat == identity())
         checks.append(tensor_action(neg, neg, ell).mat == identity())
         for _ in range(100):

@@ -246,15 +246,15 @@ def replaced(doc, path, value):
 
 
 def alternatives(leaf: str):
-    """Different strings for one leaf: a nearby value, an equal rational in
-    another spelling, and a foreign token."""
+    """Different values for one leaf: a nearby value, an equal rational in
+    another spelling, a foreign token, and JSON values that are not strings."""
     num, _, den = leaf.partition("/")
     out = {leaf + "0", "Inconclusive" if leaf == "Certified" else "Certified"}
     if num.lstrip("-").isdigit():
         out.add(f"{int(num) + 1}/{den}" if den else str(int(num) + 1))
         if den:
             out.add(f"{2 * int(num)}/{2 * int(den)}")
-    return out - {leaf}
+    return [*sorted(out - {leaf}), 5, None, []]
 
 
 def test_certificate_checker_accepts_and_rejects():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from psl2cert import cli
+from psl2cert import cli, lpoly
 from psl2cert.certify import OutOfRangeError, verify_certificate
 from psl2cert.cli import (
     EXIT_INCONCLUSIVE,
@@ -152,6 +152,15 @@ def test_library_errors_map_to_exit_codes(capsys, monkeypatch, exc, code):
     assert capsys.readouterr().err == f"error: {exc}\n"
 
 
+def test_lpoly_full_mode_reciprocity_failure_exits_weil(capsys, monkeypatch):
+    trace_sum = lpoly.trace_sum
+    monkeypatch.setattr(lpoly, "trace_sum", lambda p, k: trace_sum(p, k) + (k == 3))
+    assert main(["lpoly", "--p", "7", "--mode", "full"]) == EXIT_WEIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_certify_range_reports_witness_clash(capsys):
     code, out = run(capsys, "certify", "--ell-range", "11:17", "--witnesses", "13")
     assert code == EXIT_INCONCLUSIVE
@@ -188,7 +197,7 @@ def test_cache_roundtrip(capsys, tmp_path):
     assert code == EXIT_OK
     doc = json.loads(path.read_text())
     assert doc["version"] == 1
-    assert doc["entries"]["5"] == {"a": "-4/5", "b": "54/25", "mode": "FE"}
+    assert doc["entries"]["5"] == {"a": "-4/5", "b": "54/25"}
 
     code, second = run(capsys, "lpoly", "--p", "5", "--cache", str(path))
     assert code == EXIT_OK
@@ -304,6 +313,12 @@ def test_verify_command(capsys, tmp_path):
     tampered.write_text(json.dumps(docs))
     code, out = run(capsys, "verify", str(tampered))
     assert (code, out) == (EXIT_WEIL, "verified 41/42\n")
+
+    doc = json.loads(single.read_text())
+    doc["witness_data"][0]["a"] = 5  # a number where a "num/den" string belongs
+    single.write_text(json.dumps(doc))
+    code, out = run(capsys, "verify", str(single))
+    assert (code, out) == (EXIT_WEIL, "verified 0/1\n")
 
 
 @pytest.mark.parametrize("content", [None, "not json\n"])  # missing, unparsable

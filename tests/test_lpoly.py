@@ -15,6 +15,7 @@ from psl2cert.lpoly import (
     HasseBoundError,
     KernelCheckError,
     LPolynomial,
+    ReciprocityError,
     ShapeViolation,
     SquareShape,
     WeilBoundError,
@@ -181,6 +182,12 @@ def test_lpolynomial_full_direct_agreement_large():
     # 31 is the top of the guard: 31^4 <= CHI_TABLE_MAX_Q < 37^4
     for p in (11, 13, 17, 31):
         assert lpolynomial(p, MODE_FULL) == lpolynomial(p)
+
+
+def test_full_mode_rejects_a_wrong_degree_3_count(monkeypatch):
+    monkeypatch.setattr(lpoly_module, "trace_sum", lambda p, k: trace_sum(p, k) + (k == 3))
+    with pytest.raises(ReciprocityError):
+        lpolynomial(7, MODE_FULL)
 
 
 def test_fiber_trace_rejects_degree_above_four():

@@ -8,7 +8,15 @@ import pytest
 
 from conftest import rand_sl2
 from psl2cert.lpoly import lpolynomial
-from psl2cert.ortho import identity, in_omega, mat_mul, mat_neg, reciprocal_charpoly
+from psl2cert.ortho import (
+    identity,
+    in_omega,
+    mat_mul,
+    mat_neg,
+    mat_reduce,
+    mat_trace,
+    reciprocal_charpoly,
+)
 from psl2cert.qpoly import reduce_mod, reduce_poly_mod
 from psl2cert.tensor import (
     B0,
@@ -22,10 +30,6 @@ from psl2cert.tensor import (
     complex_structure,
     group_order_bfs,
     kronecker_decompose,
-    m2_mul,
-    m2_neg,
-    m2_reduce,
-    m2_trace,
     sl2_generators,
     tensor_action,
     tensor_action_matrix,
@@ -38,6 +42,15 @@ LS = (11, 13, 19)
 
 
 def test_tensor_form_properties():
+    def h(v, w):  # the symplectic pairing on F_l^2
+        return v[0] * w[1] - v[1] * w[0]
+
+    e1, e2 = (1, 0), (0, 1)
+    basis = ((e1, e1), (e2, e1), (e1, e2), (e2, e2))  # v (x) w as (v, w)
+    for ell in LS:
+        assert tensor_form(ell).gram == tuple(
+            tuple(h(v1, v2) * h(w1, w2) % ell for v2, w2 in basis) for v1, w1 in basis
+        )
     form = tensor_form(11)
     gram = form.gram
     assert gram == tuple(zip(*gram))
@@ -47,7 +60,7 @@ def test_tensor_form_properties():
 def test_action_identity_and_kernel_pair():
     ell = 11
     assert tensor_action(M2_IDENTITY, M2_IDENTITY, ell).mat == identity()
-    neg = m2_neg(M2_IDENTITY, ell)
+    neg = mat_neg(M2_IDENTITY, ell)
     assert tensor_action(neg, neg, ell).mat == identity()
 
 
@@ -62,7 +75,7 @@ def test_action_is_homomorphism(ell):
     for _ in range(100):
         a1, a2 = rand_sl2(ell, rng), rand_sl2(ell, rng)
         b1, b2 = rand_sl2(ell, rng), rand_sl2(ell, rng)
-        lhs = tensor_action(m2_mul(a1, a2, ell), m2_mul(b1, b2, ell), ell)
+        lhs = tensor_action(mat_mul(a1, a2, ell), mat_mul(b1, b2, ell), ell)
         rhs = tensor_action(a1, b1, ell) @ tensor_action(a2, b2, ell)
         assert lhs.mat == rhs.mat
 
@@ -78,7 +91,7 @@ def test_action_lands_in_omega(ell):
 @pytest.mark.parametrize("ell", LS)
 def test_action_kernel_is_plus_minus_identity(ell):
     rng = random.Random(ell * 13)
-    neg = m2_neg(M2_IDENTITY, ell)
+    neg = mat_neg(M2_IDENTITY, ell)
     for _ in range(60):
         a, b = rand_sl2(ell, rng), rand_sl2(ell, rng)
         if (a, b) in ((M2_IDENTITY, M2_IDENTITY), (neg, neg)):
@@ -94,7 +107,7 @@ def test_decompose_identity_and_gamma():
     assert pair.a == M2_IDENTITY and pair.b == M2_IDENTITY
     pair = kronecker_decompose(complex_structure(ell), ell)
     assert pair.a == M2_IDENTITY
-    assert pair.b == m2_reduce(B0, ell)
+    assert pair.b == mat_reduce(B0, ell)
 
 
 @pytest.mark.parametrize("ell", LS)
@@ -106,7 +119,7 @@ def test_decompose_roundtrip(ell):
         pair = kronecker_decompose(m)
         assert tensor_action_matrix(pair.a, pair.b, ell) == m.mat
         # the canonical representative is one of (A, B), (-A, -B)
-        assert pair.a in (a, m2_neg(a, ell))
+        assert pair.a in (a, mat_neg(a, ell))
 
 
 def test_decompose_canonical_sign():
@@ -163,17 +176,23 @@ def test_trace_square_consistency_with_action(ell):
         m = tensor_action(a, M2_IDENTITY, ell)
         quartic = reciprocal_charpoly(m.mat, ell)
         u = trace_square_invariant(quartic, 5, ell)  # any p = 1 (mod 4) branch
-        assert u == m2_trace(a, ell) ** 2 % ell
+        assert u == mat_trace(a, ell) ** 2 % ell
 
 
 def test_block_diagonal_and_complex_structure_identities():
     for ell in (5, 11, 13):
         gamma = complex_structure(ell)
+        m1 = ell - 1
+        assert gamma == ((0, 0, m1, 0), (0, 0, 0, m1), (1, 0, 0, 0), (0, 1, 0, 0))
         assert mat_mul(gamma, gamma, ell) == mat_neg(identity(), ell)
         assert block_diagonal_pair(M2_IDENTITY, ell) == identity()
+        with pytest.raises(ValueError):
+            block_diagonal_pair(((2, 0), (0, 1)), ell)
         rng = random.Random(ell)
         for _ in range(20):
-            h = block_diagonal_pair(rand_sl2(ell, rng), ell)
+            (a, b), (c, d) = rand_sl2(ell, rng)
+            h = block_diagonal_pair(((a, b), (c, d)), ell)
+            assert h == ((a, b, 0, 0), (c, d, 0, 0), (0, 0, a, b), (0, 0, c, d))
             assert mat_mul(h, gamma, ell) == mat_mul(gamma, h, ell)
 
 
