@@ -4,13 +4,14 @@ runs, surface invariants, and small-l group identity checks.
 Every command writes deterministic bytes to stdout for identical flags;
 timing goes to stderr.  Exit codes: 0 success, 1 usage error, bad input or
 cache file, 2 shape-law violation, 3 any other arithmetic check failure
-(Weil/Hasse bound, trace kernel, a certificate that `verify` rejects), 4
-out-of-range request (including a field beyond the 2^20-entry character
-table), 5 some l given to `certify` is Inconclusive or errored.  `main` maps
-a library exception to its exit code through EXIT_CODES and prints one
-`error:` line; the only handler inside a command is the one for
-`lpoly --cache` file errors.  `--json` and `--cache` files are replaced
-atomically, never left half written.
+(Weil/Hasse bound, trace kernel, a certificate that `verify` rejects, a
+`group-check` identity that prints FAIL), 4 out-of-range request
+(including a field beyond the 2^20-entry character table), 5 some l given
+to `certify` is Inconclusive or errored.  `main` maps a library exception
+to its exit code through EXIT_CODES and prints one `error:` line; the only
+handler inside a command is the one for `lpoly --cache` file errors.
+`--json` and `--cache` files are replaced atomically, never left half
+written.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ EXIT_CODES = (
     ((ValueError, OSError), EXIT_USAGE),
 )
 
-GROUP_CHECK_MAX_ELL = 13  # breadth-first closure guard
+GROUP_CHECK_MAX_ELL = 31  # breadth-first closure guard: |G| = 59520 at l = 31
 
 CACHE_VERSION = 1
 
@@ -293,7 +294,7 @@ def cmd_group_check(args) -> int:
             round_ok = False
     print(f"Gaussian model roundtrip on 50 random elements: {'ok' if round_ok else 'FAIL'}")
     print(f"group check took {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-    return EXIT_OK if (gamma_sq_ok and formula_ok and iota_ok and round_ok) else EXIT_USAGE
+    return EXIT_OK if (gamma_sq_ok and formula_ok and iota_ok and round_ok) else EXIT_WEIL
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ The factorization is constructive and uses at most 4 reflections.  Its
 candidate vectors come from the coordinate grid {0..4}^4: every polynomial
 it must avoid has degree at most 4 in each coordinate, and l >= 11, so by
 the Combinatorial Nullstellensatz a nonzero one is nonzero on the grid.
+Each recursion step scores every grid point in one numpy pass and keeps
+the first that passes, in itertools.product order.
 
 The spinor norm has two independent evaluation paths: det(I + A) when that
 determinant is nonzero, and otherwise the product of the square classes
@@ -19,6 +21,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+
+import numpy as np
 
 from .modarith import is_prime, legendre
 from .qpoly import elementary_from_power_sums, reduce_mod
@@ -39,7 +44,6 @@ def mat_reduce(a, ell: int) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat, ell: int) -> Mat:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) % ell for col in bt) for row in a
@@ -176,39 +180,52 @@ def reflection(v: Vec, form: GramForm) -> OrthMatrix:
     return OrthMatrix(reflection_matrix(tuple(x % form.ell for x in v), form), form)
 
 
+@lru_cache(maxsize=None)
+def _grid(k: int) -> np.ndarray:
+    """The coefficient grid {0..4}^k, one row per point in
+    itertools.product order."""
+    return np.array(list(itertools.product(range(GRID), repeat=k)), dtype=np.int64)
+
+
 def _factor(mat: Mat, basis: list[Vec], form: GramForm) -> list[Vec]:
     """Reflection vectors for mat, which preserves the nondegenerate span V
     of basis and fixes V^perp pointwise."""
     if mat == identity():
         return []
     ell = form.ell
-    first = None
-    for coeffs in itertools.product(range(GRID), repeat=len(basis)):
-        x = tuple(sum(c * b[k] for c, b in zip(coeffs, basis)) % ell for k in range(DIM))
-        qx = form.norm(x)
-        if qx == 0:
-            continue
-        if first is None:
-            first = x
-        w = tuple((y - z) % ell for y, z in zip(mat_vec(mat, x, ell), x))
-        if any(w) and form.norm(w) == 0:
-            continue
-        # x^perp within V: project away x from the basis vectors but one
-        k = next(i for i, c in enumerate(coeffs) if c)
-        inv = pow(qx, -1, ell)
-        rest = [
-            tuple((y - form.pair(b, x) * inv * z) % ell for y, z in zip(b, x))
-            for i, b in enumerate(basis)
-            if i != k
-        ]
-        if not any(w):  # mat fixes x
-            return _factor(mat, rest, form)
-        # r_w maps mat x to x, so r_w mat fixes x
-        return [w] + _factor(mat_mul(reflection_matrix(w, form), mat, ell), rest, form)
-    # Every difference vector is isotropic, so im(mat - 1) is totally
-    # isotropic and det mat = 1; after one reflection the det is -1 and this
-    # branch cannot recur.
-    return [first] + _factor(mat_mul(reflection_matrix(first, form), mat, ell), basis, form)
+    # every entry below stays under 16 l^3 before its reduction
+    dtype = np.int64 if 16 * ell**3 < 2**63 else object
+    coeffs = _grid(len(basis))
+    g = np.array(form.gram, dtype=dtype)
+    b = np.array(basis, dtype=dtype)
+    x = coeffs @ b % ell
+    w = (x @ np.array(mat, dtype=dtype).T - x) % ell
+
+    def norms(v):
+        return ((v @ g) * v).sum(1) % ell
+
+    qx = norms(x)
+    anisotropic = qx != 0
+    # keep x when mat fixes it (w has entries in [0, l), so w = 0 iff its
+    # sum is 0) or when w = mat x - x is anisotropic
+    passing = (anisotropic & ((norms(w) != 0) | (w.sum(1) == 0))).tolist()
+    if True not in passing:
+        # Every difference vector is isotropic, so im(mat - 1) is totally
+        # isotropic and det mat = 1; after one reflection the det is -1 and
+        # this branch cannot recur.
+        first = tuple(x[anisotropic.tolist().index(True)].tolist())
+        return [first] + _factor(mat_mul(reflection_matrix(first, form), mat, ell), basis, form)
+    i = passing.index(True)
+    # x^perp within V: project away x from the basis vectors but one
+    scale = (b @ (g @ x[i]) % ell) * pow(int(qx[i]), -1, ell) % ell  # <b, x> / Q(x)
+    projected = (b - scale[:, None] * x[i]) % ell
+    k = next(j for j, c in enumerate(coeffs[i].tolist()) if c)
+    rest = [tuple(v) for j, v in enumerate(projected.tolist()) if j != k]
+    wi = tuple(w[i].tolist())
+    if not any(wi):  # mat fixes x
+        return _factor(mat, rest, form)
+    # r_w maps mat x to x, so r_w mat fixes x
+    return [wi] + _factor(mat_mul(reflection_matrix(wi, form), mat, ell), rest, form)
 
 
 def cartan_dieudonne(m: OrthMatrix) -> list[Vec]:
@@ -221,7 +238,10 @@ def cartan_dieudonne(m: OrthMatrix) -> list[Vec]:
     then needs at most 3.  Candidates x come from the grid {0..4}^dim: the
     polynomial Q(x) Q(m x - x) has degree at most 4 in each coordinate and
     l >= 11 > 4, so by the Combinatorial Nullstellensatz it vanishes on the
-    grid only if it vanishes identically.
+    grid only if it vanishes identically.  Each step scores the whole grid
+    {0..4}^k (k = dim V) in one pass, on int64 when 16 l^3 < 2^63 and on
+    Python integers otherwise, and keeps the first passing candidate in
+    itertools.product order, so the vectors do not depend on the dtype.
     """
     return _factor(m.mat, list(identity()), m.form)
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from .modarith import inv_mod, is_prime, legendre, sqrt_mod
 from .ortho import GramForm, Mat, OrthMatrix, identity, mat_det, mat_mul, mat_neg, mat_reduce
 
@@ -265,33 +267,40 @@ def to_gaussian(mat: Mat, ell: int) -> GaussianMat:
 
 def group_order_bfs(generators, ell: int, cap: int = 10_000_000) -> int:
     """Exact order of the matrix group generated over F_l, by breadth-first
-    closure with packed-integer hashing."""
+    closure one level at a time.
+
+    Each level is one batched product of the frontier, an (N, n, n) array,
+    with every generator.  An element is keyed by its entries read as the
+    base-l digits of one integer, row-major.  Products are int64 when
+    n (l - 1)^2 < 2^63 and Python integers (object dtype) otherwise; keys
+    are always Python integers.  Raises CapExceededError when the order
+    exceeds cap.
+    """
     if cap > 10_000_000:
         raise ValueError("cap above 10^7 refused")
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-
-    def pack(m: Mat) -> int:
-        key = 0
-        for row in m:
-            for x in row:
-                key = key * ell + x
-        return key
-
     gens = [mat_reduce(g, ell) for g in generators]
-    start = identity(len(gens[0]))
-    seen = {pack(start)}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = mat_mul(m, g, ell)
-                key = pack(prod)
-                if key not in seen:
-                    seen.add(key)
-                    if len(seen) > cap:
-                        raise CapExceededError(f"group closure exceeded cap {cap}")
-                    nxt.append(prod)
-        frontier = nxt
+    n = len(gens[0])
+    dtype = np.int64 if n * (ell - 1) ** 2 < 2**63 else object
+    radix = np.array([ell**k for k in reversed(range(n * n))], dtype=object)
+
+    def keys(mats) -> list[int]:
+        return (mats.reshape(len(mats), -1).astype(object) @ radix).tolist()
+
+    gens_arr = np.array(gens, dtype=dtype)
+    level = np.array([identity(n)], dtype=dtype)
+    seen = set(keys(level))
+    while len(level):
+        # every product of the level with a generator, then only the new ones
+        level = (level[:, None] @ gens_arr[None]).reshape(-1, n, n)
+        level %= ell
+        fresh = []
+        for i, key in enumerate(keys(level)):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        if len(seen) > cap:
+            raise CapExceededError(f"group closure exceeded cap {cap}")
+        level = level[fresh]
     return len(seen)

@@ -187,8 +187,21 @@ def test_group_check_small(capsys):
 
 
 def test_group_check_refuses_large_ell(capsys):
-    code, _ = run(capsys, "group-check", "--ell", "17")
+    code, _ = run(capsys, "group-check", "--ell", "37")
     assert code == EXIT_RANGE
+
+
+def test_group_check_at_17(capsys):
+    code, out = run(capsys, "group-check", "--ell", "17")
+    assert code == EXIT_OK
+    assert "orders: H=4896 G=9792 G/<gamma>=2448" in out
+
+
+def test_group_check_failed_identity_exits_weil(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "group_order_bfs", lambda gens, ell: 1)
+    code, out = run(capsys, "group-check", "--ell", "5")
+    assert "order formulas: FAIL" in out
+    assert code == EXIT_WEIL
 
 
 def test_cache_roundtrip(capsys, tmp_path):

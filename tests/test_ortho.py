@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import rand_anisotropic, rand_orthogonal
+from conftest import rand_anisotropic, rand_orthogonal, rand_sl2
 from psl2cert.ortho import (
     GramForm,
     OrthMatrix,
@@ -22,7 +22,8 @@ from psl2cert.ortho import (
     spinor_norm_by_reflections,
     square_class,
 )
-from psl2cert.tensor import tensor_action, tensor_form
+from psl2cert.tensor import M2_IDENTITY, tensor_action, tensor_form
+from slow_paths import cartan_dieudonne_sequential
 
 LS = (11, 13, 19)
 
@@ -96,6 +97,7 @@ def test_cartan_dieudonne_random_products():
         for _ in range(40):
             m = rand_orthogonal(form, rng, rng.randint(1, 5))
             vecs = cartan_dieudonne(m)
+            assert vecs == cartan_dieudonne_sequential(m)
             assert len(vecs) <= 4
             assert len(vecs) % 2 == (0 if m.det() == 1 else 1)
             assert recompose(vecs, form) == m.mat
@@ -121,6 +123,30 @@ def test_cartan_dieudonne_isotropic_image_case():
             vecs = cartan_dieudonne(m)
             assert len(vecs) <= 4
             assert recompose(vecs, form) == m.mat
+
+
+def rand_unipotent(ell, rng):
+    """A conjugate N of a transvection acting as (N, I) or (I, N): every
+    difference vector is isotropic, so the scan falls through."""
+    a = rand_sl2(ell, rng)
+    a_inv = ((a[1][1], -a[0][1] % ell), (-a[1][0] % ell, a[0][0]))
+    n = mat_mul(mat_mul(a, ((1, rng.randrange(1, ell)), (0, 1)), ell), a_inv, ell)
+    return tensor_action(*((n, M2_IDENTITY) if rng.random() < 0.5 else (M2_IDENTITY, n)), ell)
+
+
+@pytest.mark.parametrize("ell", (11, 13, 17, 19, 23, 29, 31, 1_000_003, 2**61 - 1))
+def test_cartan_dieudonne_matches_sequential_scan(ell):
+    # 16 l^3 >= 2^63 for the last two, so the grid is scored on Python integers
+    form = tensor_form(ell)
+    rng = random.Random(ell)
+    small = ell < 100
+    matrices = [rand_orthogonal(form, rng, rng.randint(0, 5)) for _ in range(30 if small else 6)]
+    matrices += [rand_unipotent(ell, rng) for _ in range(4 if small else 2)]
+    for m in matrices:
+        vecs = cartan_dieudonne(m)
+        assert vecs == cartan_dieudonne_sequential(m)
+        assert all(type(x) is int for v in vecs for x in v)
+        assert recompose(vecs, form) == m.mat
 
 
 def test_spinor_norm_basics():

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import rand_sl2
 from psl2cert.lpoly import lpolynomial
+from psl2cert.modarith import legendre, sqrt_mod
 from psl2cert.ortho import (
     identity,
     in_omega,
@@ -37,6 +38,7 @@ from psl2cert.tensor import (
     to_gaussian,
     trace_square_invariant,
 )
+from slow_paths import group_order_tuple_bfs
 
 LS = (11, 13, 19)
 
@@ -260,3 +262,42 @@ def test_group_order_caps():
         group_order_bfs(sl2_generators(11), 11, cap=50)
     with pytest.raises(ValueError):
         group_order_bfs(sl2_generators(5), 5, cap=10**8)
+
+
+def closure_generators(ell):
+    """Generators of SL2(F_l), of H = {diag(A, A)} and of G = <H, gamma>."""
+    s, t = sl2_generators(ell)
+    h_gens = [block_diagonal_pair(s, ell), block_diagonal_pair(t, ell)]
+    return {"SL2": [s, t], "H": h_gens, "G": h_gens + [complex_structure(ell)]}
+
+
+@pytest.mark.parametrize("ell", (5, 7, 11, 13, 17))
+def test_group_orders_match_tuple_bfs(ell):
+    sl2_order = ell * (ell * ell - 1)
+    expected = {"SL2": sl2_order, "H": sl2_order, "G": 2 * sl2_order}
+    for name, gens in closure_generators(ell).items():
+        assert group_order_bfs(gens, ell) == group_order_tuple_bfs(gens, ell) == expected[name], name
+
+
+def test_group_order_object_dtype_at_large_ell():
+    # n (l - 1)^2 >= 2^63 for n = 2, 4, so the closure multiplies Python
+    # integers; the quaternion units i = S and j (with a^2 + b^2 = -1)
+    # generate Q8 in SL2
+    ell = 2**61 - 1
+    a = next(a for a in range(1, 100) if legendre(-1 - a * a, ell) == 1)
+    b = sqrt_mod((-1 - a * a) % ell, ell)
+    i, j = ((0, ell - 1), (1, 0)), ((a, b), (b, -a % ell))
+    assert group_order_bfs([i, j], ell) == group_order_tuple_bfs([i, j], ell) == 8
+    gens = [block_diagonal_pair(i, ell), block_diagonal_pair(j, ell), complex_structure(ell)]
+    # gamma is central with gamma^2 = i^2 = -I: a central product Q8 o C4
+    assert group_order_bfs(gens, ell) == group_order_tuple_bfs(gens, ell) == 16
+
+
+@pytest.mark.parametrize("closure", (group_order_bfs, group_order_tuple_bfs))
+def test_group_order_cap_boundary(closure):
+    for ell in (5, 7):
+        for gens in closure_generators(ell).values():
+            order = group_order_tuple_bfs(gens, ell)
+            assert closure(gens, ell, cap=order) == order
+            with pytest.raises(CapExceededError):
+                closure(gens, ell, cap=order - 1)
