@@ -39,7 +39,7 @@ from .lpoly import (
     lpolynomial,
     shape_classify,
 )
-from .modarith import is_prime, primes_in_range
+from .modarith import is_prime
 from .qpoly import frac_str, parse_frac
 from .tensor import (
     GaussianMat,
@@ -142,9 +142,6 @@ def save_cache(path: str, entries: dict[int, LPolynomial]) -> None:
 
 def cmd_lpoly(args) -> int:
     p = args.p
-    if not is_prime(p) or p == 2:
-        _err(f"{p} is not an odd prime")
-        return EXIT_USAGE
     mode = MODE_FULL if args.mode == "full" else MODE_FE
     entries: dict[int, LPolynomial] = {}
     if args.cache:
@@ -173,7 +170,7 @@ def cmd_lpoly(args) -> int:
 def cmd_scan(args) -> int:
     t0 = time.perf_counter()
     print("p,p_mod_4,a,b,shape_b,shape_b_times_p_integral")
-    for p in primes_in_range(3, args.pmax):
+    for p in filter(is_prime, range(3, args.pmax + 1, 2)):  # no sieve: the scan stops at the table cap
         lp = lpolynomial(p)
         shape = shape_classify(lp)
         integral = (shape.b * p).denominator == 1

@@ -323,7 +323,7 @@ class FqElem:
         return f"Fq({body} ; q={self.ctx.q})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # Full mode touches four fields per prime
 def fq_ctx(p: int, k: int) -> FieldCtx:
     """Deterministic context for F_{p^k}: the modulus is the
     lexicographically smallest monic irreducible of degree k over F_p."""

@@ -199,6 +199,8 @@ class LPolynomial:
     b: Fraction
 
     def __post_init__(self):
+        if not is_prime(self.p) or self.p == 2:
+            raise ValueError(f"p must be an odd prime, got {self.p}")
         if not _denominator_is_p_power(self.a, self.p) or not _denominator_is_p_power(
             self.b, self.p
         ):

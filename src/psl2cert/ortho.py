@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modarith import is_prime, legendre
-from .qpoly import elementary_from_power_sums, reduce_mod
+from .qpoly import Q, reduce_mod, series_exp
 
 Mat = tuple[tuple[int, ...], ...]
 Vec = tuple[int, ...]
@@ -84,15 +84,14 @@ def mat_trace(a: Mat, ell: int) -> int:
 
 
 def reciprocal_charpoly(m: Mat, ell: int) -> tuple[int, ...]:
-    """Coefficients of det(I - m T) for a 4x4 matrix over F_l, recovered
-    from the traces of m, m^2, m^3, m^4 by Newton's identities."""
+    """Coefficients of det(I - m T) for a 4x4 matrix over F_l, as
+    exp(-sum tr(m^k) T^k / k) from the traces of m, m^2, m^3, m^4."""
     powers = [m]
     for _ in range(3):
         powers.append(mat_mul(powers[-1], m, ell))
+    log_det = [0] + [Q(-mat_trace(x, ell), k) for k, x in enumerate(powers, 1)]
     # exact mod l: the denominators divide 24 and l >= 11
-    e = elementary_from_power_sums([mat_trace(x, ell) for x in powers])
-    e1, e2, e3, e4 = (reduce_mod(x, ell) for x in e)
-    return (1, -e1 % ell, e2, -e3 % ell, e4)
+    return tuple(reduce_mod(c, ell) for c in series_exp(log_det, 4))
 
 
 class SquareClass(Enum):

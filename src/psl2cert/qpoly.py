@@ -1,5 +1,8 @@
-"""Exact polynomial arithmetic over Q, Newton power sums, the "num/den" text
-codec, and reductions mod l.
+"""Exact polynomial arithmetic over Q, truncated power series, the "num/den"
+text codec, and reductions mod l.
+
+Newton's identities are written once, in the series_exp/series_log pair:
+power sums and n-th power transforms of a quartic are read off its log.
 
 Coefficients are `fractions.Fraction` throughout; nothing here ever touches
 floating point.  Degrees stay tiny (at most 8 in this project), so the dense
@@ -11,8 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Sequence
-
-from .modarith import inv_mod
 
 Q = Fraction
 
@@ -32,10 +33,6 @@ class QPolynomial:
 
     def __init__(self, coeffs: Iterable = ()):
         self.coeffs = _trim([Q(c) for c in coeffs])
-
-    @staticmethod
-    def monomial(degree: int, coeff=1) -> "QPolynomial":
-        return QPolynomial([0] * degree + [coeff])
 
     @property
     def degree(self) -> int:
@@ -168,55 +165,26 @@ def format_poly(poly: QPolynomial, var: str = "T") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Newton identities and n-th power transforms for quartics with P(0) = 1
+# power sums and n-th power transforms for quartics with P(0) = 1, via log P
 
 
 def power_sums(poly: QPolynomial, count: int) -> list[Fraction]:
     """Power sums s_1..s_count of the inverse roots of a degree-4
-    polynomial with constant term 1 (P = prod(1 - a_i T))."""
+    polynomial with constant term 1 (P = prod(1 - a_i T)), read off
+    log P = -sum s_k T^k / k."""
     if poly.degree != 4:
         raise ValueError("power sums need a degree-4 polynomial")
-    if poly[0] != 1:
-        raise ValueError("constant term must be 1")
-    # elementary symmetric functions of the inverse roots
-    e = [Q(0)] * 5
-    for i in range(1, 5):
-        e[i] = (-1) ** i * poly[i]
-    s: list[Fraction] = []
-    for m in range(1, count + 1):
-        acc = Q(0)
-        for i in range(1, min(m, 4) + 1):
-            if i == m:
-                acc += (-1) ** (i - 1) * i * e[i]
-            else:
-                acc += (-1) ** (i - 1) * e[i] * s[m - i - 1]
-        s.append(acc)
-    return s
-
-
-def elementary_from_power_sums(t: Sequence[Fraction]) -> list[Fraction]:
-    """e_1..e_4 from power sums t_1..t_4 of four quantities."""
-    t1, t2, t3, t4 = (Q(x) for x in t)
-    e1 = t1
-    e2 = (e1 * t1 - t2) / 2
-    e3 = (e2 * t1 - e1 * t2 + t3) / 3
-    e4 = (e3 * t1 - e2 * t2 + e1 * t3 - t4) / 4
-    return [e1, e2, e3, e4]
+    lg = series_log(poly.coeffs, count)
+    return [-k * lg[k] for k in range(1, count + 1)]
 
 
 def nth_power_poly(poly: QPolynomial, n: int) -> QPolynomial:
-    """The quartic whose inverse roots are the n-th powers of poly's.
-
-    Computed exactly via Newton identities (power sums s_n, s_2n, s_3n,
-    s_4n, then the inverse identities); no root extraction.
-    """
+    """The quartic whose inverse roots are the n-th powers of poly's:
+    exp(-sum_{k<=4} s_{nk} T^k / k), exact, with no root extraction."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if n == 1:
-        return QPolynomial(poly.coeffs)
     s = power_sums(poly, 4 * n)
-    e1, e2, e3, e4 = elementary_from_power_sums([s[n - 1], s[2 * n - 1], s[3 * n - 1], s[4 * n - 1]])
-    return QPolynomial([1, -e1, e2, -e3, e4])
+    return QPolynomial(series_exp([0] + [-s[n * k - 1] / k for k in range(1, 5)], 4))
 
 
 def eval_exact(poly: QPolynomial, x) -> Fraction:
@@ -227,8 +195,7 @@ def eval_exact(poly: QPolynomial, x) -> Fraction:
 # text codec: a rational as "num/den" in lowest terms
 
 
-def frac_str(x: Fraction) -> str:
-    x = Q(x)
+def frac_str(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -247,14 +214,13 @@ class DenominatorDivisibleError(ValueError):
     """The denominator of an exact rational is divisible by the target prime."""
 
 
-def reduce_mod(x, ell: int) -> int:
+def reduce_mod(x: Fraction | int, ell: int) -> int:
     """Image of an exact rational in F_ell (num * den^-1 mod ell)."""
-    x = Q(x)
     if x.denominator % ell == 0:
         raise DenominatorDivisibleError(
             f"denominator of {x} is divisible by {ell}; invalid witness/l pairing"
         )
-    return x.numerator * inv_mod(x.denominator, ell) % ell
+    return x.numerator * pow(x.denominator, -1, ell) % ell
 
 
 def reduce_poly_mod(poly: QPolynomial, ell: int, width: int | None = None) -> tuple[int, ...]:

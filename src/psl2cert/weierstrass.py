@@ -2,6 +2,9 @@
 invariants (c4, c6, Delta, j) of the fixed elliptic fibration, pole orders,
 and Kodaira fiber types at the four bad places {0, 1, -1, oo}.
 
+No model in s = 1/t is built: the valuations at oo come from those in t,
+since c4 and Delta have weights 4 and 12 in the coefficients a_i.
+
 Only those four places are supported in valuation work; the surface under
 study is fixed and its discriminant factors completely over them, so general
 factorization over Q is deliberately out of scope.
@@ -202,45 +205,6 @@ def invariants(model: WeierstrassModel) -> Invariants:
     return Invariants(c4, c6, delta, c4**3 / delta)
 
 
-def _substitute_inverse(f: RationalFunction) -> RationalFunction:
-    """f(1/s) as a rational function of s."""
-    n, d = f.num, f.den
-    rev_n = QPolynomial(list(reversed(n.coeffs)))
-    rev_d = QPolynomial(list(reversed(d.coeffs)))
-    shift = d.degree - n.degree
-    if shift >= 0:
-        return RationalFunction(rev_n * QPolynomial.monomial(shift), rev_d)
-    return RationalFunction(rev_n, rev_d * QPolynomial.monomial(-shift))
-
-
-def model_at_infinity(model: WeierstrassModel) -> WeierstrassModel:
-    """The model in the coordinate s = 1/t, rescaled by the least power
-    twist (x, y) -> (s^{-2m} x, s^{-3m} y) making every coefficient regular
-    at s = 0."""
-    coeffs = {
-        1: _substitute_inverse(model.a1),
-        2: _substitute_inverse(model.a2),
-        3: _substitute_inverse(model.a3),
-        4: _substitute_inverse(model.a4),
-        6: _substitute_inverse(model.a6),
-    }
-    m = 0
-    for i, f in coeffs.items():
-        if f.is_zero():
-            continue
-        v = valuation(f, 0)
-        if v < 0:
-            m = max(m, (-v + i - 1) // i)  # ceil(-v / i)
-    s_power = {i: RationalFunction(QPolynomial.monomial(i * m)) for i in coeffs}
-    return WeierstrassModel(
-        coeffs[1] * s_power[1],
-        coeffs[2] * s_power[2],
-        coeffs[3] * s_power[3],
-        coeffs[4] * s_power[4],
-        coeffs[6] * s_power[6],
-    )
-
-
 def kodaira_type(v_delta: int, v_c4: int) -> str:
     """Kodaira symbol from minimal-model valuations (characteristic 0)."""
     if v_c4 >= 4 and v_delta >= 12:
@@ -269,12 +233,18 @@ def kodaira_type(v_delta: int, v_c4: int) -> str:
 
 
 def place_valuations(model: WeierstrassModel, place) -> tuple[int, int]:
-    """(v(Delta), v(c4)) at a supported place, via the s = 1/t model at oo."""
-    if place == INF:
-        inv = invariants(model_at_infinity(model))
-        return valuation(inv.delta, 0), valuation(inv.c4, 0)
+    """(v(Delta), v(c4)) at a supported place.
+
+    At oo they are taken on the least twist a_i -> t^{-im} a_i regular
+    there, m = max(0, max_i ceil(-v(a_i) / i)); it adds 12m to v(Delta) and
+    4m to v(c4), their weights in the a_i.
+    """
     inv = invariants(model)
-    return valuation(inv.delta, place), valuation(inv.c4, place)
+    if place != INF:
+        return valuation(inv.delta, place), valuation(inv.c4, place)
+    weights = zip((1, 2, 3, 4, 6), (model.a1, model.a2, model.a3, model.a4, model.a6))
+    m = max([0] + [-(valuation(a, INF) // i) for i, a in weights if not a.is_zero()])
+    return valuation(inv.delta, INF) + 12 * m, valuation(inv.c4, INF) + 4 * m
 
 
 def kodaira_table(model: WeierstrassModel) -> dict:
@@ -288,11 +258,7 @@ def kodaira_table(model: WeierstrassModel) -> dict:
 
 def bad_places(model: WeierstrassModel) -> list:
     """Places of bad reduction; errors if Delta vanishes anywhere else."""
-    inv = invariants(model)
-    delta = inv.delta
-    if not delta.is_polynomial():
-        delta = RationalFunction(delta.num)  # zeros come from the numerator
-    mults, rest = _strip_supported_factors(delta.num)
+    mults, rest = _strip_supported_factors(invariants(model).delta.num)
     if rest.degree > 0:
         raise UnsupportedPlaceError(f"Delta vanishes outside supported places: {rest!r}")
     out = [r for r in FINITE_PLACES if mults.get(r, 0) > 0]

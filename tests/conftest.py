@@ -1,9 +1,25 @@
-"""Shared deterministic generators for the property tests."""
+"""Shared deterministic generators for the property tests, and a child
+interpreter for the cases that would hang on a regression."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import psl2cert
 from psl2cert.ortho import GramForm, OrthMatrix, mat_mul, reflection_matrix
 from psl2cert.tensor import M2_IDENTITY, sl2_generators
+
+SRC = str(Path(psl2cert.__file__).resolve().parents[1])
+
+
+def run_python(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """`python *args` in a child with the package importable; a hang fails
+    with TimeoutExpired instead of stalling the suite."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env)
 
 
 def rand_sl2(ell: int, rng: random.Random):

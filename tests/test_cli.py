@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from psl2cert import cli, lpoly
+from conftest import run_python
+from psl2cert import cli, gf, lpoly
 from psl2cert.certify import OutOfRangeError, verify_certificate
 from psl2cert.cli import (
     EXIT_INCONCLUSIVE,
@@ -63,6 +64,20 @@ def test_scan_row_counts(capsys):
 
     code, out = run(capsys, "scan", "--pmax", "3")
     assert len(out.strip().split("\n")) == 2
+
+
+def test_scan_stops_at_the_table_cap_without_sieving_to_pmax(capsys, monkeypatch):
+    monkeypatch.setattr(gf, "CHI_TABLE_MAX_Q", 1000)  # F_31^2 fits, F_37^2 does not
+    gf.fq_ctx.cache_clear()  # drop fields whose table was built under the real cap
+    try:
+        code, expected = run(capsys, "scan", "--pmax", "31")
+        assert code == EXIT_OK
+        assert main(["scan", "--pmax", str(10**12)]) == EXIT_RANGE
+    finally:
+        gf.fq_ctx.cache_clear()
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err.startswith("error: field of size 37^2")
 
 
 def test_scan_deterministic(capsys):
@@ -332,6 +347,23 @@ def test_verify_command(capsys, tmp_path):
     single.write_text(json.dumps(doc))
     code, out = run(capsys, "verify", str(single))
     assert (code, out) == (EXIT_WEIL, "verified 0/1\n")
+
+
+@pytest.mark.parametrize("p", ("1", "-1"))
+def test_unit_p_in_a_certificate_or_cache_fails_without_hanging(capsys, tmp_path, p):
+    certs = tmp_path / "one.json"
+    assert run(capsys, "certify", "--ell", "19", "--json", str(certs))[0] == EXIT_OK
+    doc = json.loads(certs.read_text())
+    doc["witness_data"][0]["p"] = p
+    certs.write_text(json.dumps(doc))
+    child = run_python("-m", "psl2cert.cli", "verify", str(certs))
+    assert (child.returncode, child.stdout) == (EXIT_WEIL, "verified 0/1\n")
+
+    cache = tmp_path / "cache.json"
+    cache.write_text(json.dumps({"version": 1, "entries": {p: {"a": "0/1", "b": "-2/9"}}}))
+    child = run_python("-m", "psl2cert.cli", "lpoly", "--p", "3", "--cache", str(cache))
+    assert (child.returncode, child.stdout) == (EXIT_USAGE, "")
+    assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("content", [None, "not json\n"])  # missing, unparsable

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
 from psl2cert import lpoly as lpoly_module
 from psl2cert.gf import fq_ctx, quad_char
 from psl2cert.lpoly import (
@@ -241,6 +242,21 @@ def test_roots_on_unit_circle_detects_violations():
     assert not roots_on_unit_circle(Q(0), Q(-3))
     with pytest.raises(WeilBoundError):
         LPolynomial(3, Q(0), Q(-3))
+
+
+@pytest.mark.parametrize("p", (0, 2, 9))
+def test_lpolynomial_rejects_a_p_that_is_not_an_odd_prime(p):
+    with pytest.raises(ValueError, match="odd prime"):
+        LPolynomial(p, Q(0), Q(-2, 9))
+
+
+@pytest.mark.parametrize("p", (1, -1))
+def test_lpolynomial_rejects_a_unit_p_without_hanging(p):
+    # a Z[1/p] check that divides the denominator by p = +-1 never ends
+    code = f"from psl2cert.lpoly import LPolynomial, Q; LPolynomial({p}, Q(0), Q(-2, 9))"
+    child = run_python("-c", code)
+    assert child.returncode == 1
+    assert child.stderr.strip().endswith(f"ValueError: p must be an odd prime, got {p}")
 
 
 def test_lpolynomial_rejects_foreign_denominators():

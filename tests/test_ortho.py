@@ -16,6 +16,8 @@ from psl2cert.ortho import (
     mat_det,
     mat_mul,
     mat_neg,
+    mat_reduce,
+    reciprocal_charpoly,
     reflection,
     reflection_matrix,
     spinor_norm,
@@ -23,7 +25,7 @@ from psl2cert.ortho import (
     square_class,
 )
 from psl2cert.tensor import M2_IDENTITY, tensor_action, tensor_form
-from slow_paths import cartan_dieudonne_sequential
+from slow_paths import cartan_dieudonne_sequential, reciprocal_charpoly_recurrence
 
 LS = (11, 13, 19)
 
@@ -33,6 +35,14 @@ def recompose(vectors, form):
     for v in vectors:
         m = mat_mul(m, reflection_matrix(v, form), form.ell)
     return m
+
+
+@pytest.mark.parametrize("ell", (11, 13, 1000003))
+def test_reciprocal_charpoly_matches_newton_recurrence(ell):
+    rng = random.Random(ell)
+    for _ in range(60):
+        m = mat_reduce([[rng.randrange(ell) for _ in range(4)] for _ in range(4)], ell)
+        assert reciprocal_charpoly(m, ell) == reciprocal_charpoly_recurrence(m, ell)
 
 
 def test_gram_form_validation():

@@ -20,6 +20,7 @@ from psl2cert.qpoly import (
     series_log,
     series_mul,
 )
+from slow_paths import nth_power_poly_recurrence, power_sums_recurrence
 
 P3 = QPolynomial([1, 0, Q(-2, 9), 0, 1])
 P5 = QPolynomial([1, Q(-2, 5), 1]) ** 2
@@ -88,6 +89,24 @@ def test_nth_power_preserves_reciprocity():
         for n in (2, 3, 4):
             q = nth_power_poly(p, n)
             assert q[0] == q[4] == 1 and q[1] == q[3]
+
+
+def test_series_transforms_match_newton_recurrence():
+    # random quartics with P(0) = 1, not necessarily reciprocal
+    rng = random.Random(7)
+    for _ in range(60):
+        coeffs = [Q(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(4)]
+        p = QPolynomial([1, *coeffs[:3], coeffs[3] or 1])
+        assert power_sums(p, 12) == power_sums_recurrence(p, 12)
+        for n in range(1, 6):
+            assert nth_power_poly(p, n) == nth_power_poly_recurrence(p, n)
+
+
+def test_power_sums_reject_a_non_quartic_or_a_non_unit_constant():
+    with pytest.raises(ValueError):
+        power_sums(QPolynomial([1, 2, 3]), 4)
+    with pytest.raises(ValueError):
+        power_sums(QPolynomial([2, 0, 0, 0, 1]), 4)
 
 
 def test_eval_exact_table():

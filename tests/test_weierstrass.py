@@ -1,5 +1,8 @@
 """Weierstrass invariants, pole orders and Kodaira types of the surface."""
 
+import random
+from fractions import Fraction as Q
+
 import pytest
 
 from psl2cert.qpoly import QPolynomial
@@ -13,7 +16,6 @@ from psl2cert.weierstrass import (
     invariants,
     kodaira_table,
     kodaira_type,
-    model_at_infinity,
     place_valuations,
     pole_order_lcm,
     pole_orders,
@@ -21,6 +23,7 @@ from psl2cert.weierstrass import (
     surface_model_from_fibration,
     valuation,
 )
+from slow_paths import model_at_infinity, valuations_at_infinity
 
 T = QPolynomial([0, 1])
 ONE = QPolynomial([1])
@@ -107,12 +110,45 @@ def test_bad_places_are_exactly_the_four():
 
 
 def test_model_at_infinity_is_integral_and_minimal():
-    limit = model_at_infinity(surface_model())
+    model = surface_model()
+    limit, twist = model_at_infinity(model)
+    assert twist == 3  # a2 = t^5 - t needs 3 = ceil(5/2), a4 needs ceil(8/4) = 2
     for coeff in (limit.a1, limit.a2, limit.a3, limit.a4, limit.a6):
         if not coeff.is_zero():
             assert valuation(coeff, 0) >= 0
-    v_delta, v_c4 = place_valuations(surface_model(), INF)
+    inv = invariants(model)
+    v_delta, v_c4 = place_valuations(model, INF)
+    assert v_delta == valuation(inv.delta, INF) + 12 * twist
+    assert v_c4 == valuation(inv.c4, INF) + 4 * twist
     assert v_delta < 12 or v_c4 < 4
+
+
+def _random_coeff(rng, rational: bool):
+    """A random polynomial of degree <= 2 in t; if rational, half the time
+    over a random linear denominator.  Low degrees keep the s = 1/t path fast."""
+    def poly(degree):
+        length = rng.randint(0, degree + 1)
+        return QPolynomial([Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(length)])
+
+    num = poly(2)
+    den = poly(1) if rational and rng.random() < 0.5 else ONE
+    return num if den.is_zero() else RationalFunction(num, den)
+
+
+@pytest.mark.parametrize("rational", (False, True))
+def test_valuations_at_infinity_match_the_model_in_one_over_t(rational):
+    rng = random.Random(31 + rational)
+    checked = 0
+    while checked < 4:
+        model = WeierstrassModel.from_coeffs(*(_random_coeff(rng, rational) for _ in range(5)))
+        try:
+            inv = invariants(model)
+        except ValueError:
+            continue  # singular
+        if inv.c4.is_zero():
+            continue  # v(c4) is undefined
+        assert place_valuations(model, INF) == valuations_at_infinity(model)
+        checked += 1
 
 
 def test_rational_function_canonical_form():
