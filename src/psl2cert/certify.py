@@ -11,6 +11,9 @@ data, three branches are eliminated by pure residue arithmetic:
   exceptional  some witness has u_p mod l outside {0, 1, 2, 4} with
                u_p^2 - 3 u_p + 1 nonzero.
 
+u_p is `shape.u` from `lpoly`; `eliminate_exceptional` is the one place it
+is reduced mod l.
+
 A certificate records every residue it relied on together with the exact
 rational witness data, so an independent checker can re-verify it without
 recomputing any point counts.  The reduction from these residue conditions
@@ -24,7 +27,6 @@ changes certificate bytes and needs a new certificate format.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +39,7 @@ from .qpoly import Q, QPolynomial, frac_str, parse_frac, reduce_mod, reduce_poly
 from .qpoly import discriminant, nth_power_poly  # noqa: F401
 
 MIN_ELL = 11
+MAX_RANGE_ELL = 10**6  # certify_range's bound on ell_max; see its docstring
 
 # (eps, e) choices of the borel branch, in fixed order
 BOREL_POINTS = ((1, 0), (-1, 0), (1, 1), (-1, 1))
@@ -50,8 +53,8 @@ class CertificateError(ValueError):
 
 @dataclass(frozen=True)
 class WitnessData:
-    """Exact per-witness inputs: P_p, its fourth power transform, the
-    trace-square invariant, and the four borel evaluation values."""
+    """Exact per-witness inputs: P_p, its fourth power transform, u_p,
+    and the four borel evaluation values."""
 
     p: int
     lp: LPolynomial
@@ -129,13 +132,6 @@ class Certificate:
         records = (self.borel, self.cartan, self.exceptional)
         return "Certified" if all(r.eliminated for r in records) else "Inconclusive"
 
-    def failed_branches(self) -> list[str]:
-        out = []
-        for name in ("borel", "cartan", "exceptional"):
-            if not getattr(self, name).eliminated:
-                out.append(name)
-        return out
-
 
 def _validate(ell: int, witnesses: tuple[int, ...]):
     if not is_prime(ell):
@@ -183,7 +179,7 @@ def eliminate_cartan(ell: int, data: list[WitnessData]) -> CartanRecord:
     separability fact for the normalizer-coset argument; it is 0, and says
     nothing, for every witness p = 1 (mod 4), whose P_p is a square."""
     excluded = [tuple(c % ell for c in f) for f in _EXCLUDED_QUARTICS]
-    reductions = tuple((wd.p, reduce_poly_mod(wd.p4, ell, 5)) for wd in data)
+    reductions = tuple((wd.p, reduce_poly_mod(wd.p4, ell)) for wd in data)
     separability = tuple((wd.p, reduce_mod(wd.disc, ell)) for wd in data)
     by, failed = _first_passing(reductions, lambda red: red not in excluded)
     return CartanRecord(by, reductions, separability, failed)
@@ -246,9 +242,17 @@ class RangeReport:
 
 def certify_range(ell_min: int, ell_max: int, witnesses=(3, 5)) -> RangeReport:
     """Certify every prime in [ell_min, ell_max], ascending; the witness
-    data is computed once and reduced per l."""
+    data is computed once and reduced per l.
+
+    ell_max is capped at MAX_RANGE_ELL = 10^6 because the report holds every
+    certificate: about 2.7 KB each, 11 KB while `certify --json` writes them.
+    The 78,498 primes below 10^6 take about 0.2 GB, or 0.9 GB with --json;
+    the 664,579 below 10^7 would take 1.8 GB, or 7 GB.
+    """
     if not MIN_ELL <= ell_min <= ell_max:
         raise OutOfRangeError(f"need {MIN_ELL} <= ell_min <= ell_max")
+    if ell_max > MAX_RANGE_ELL:
+        raise OutOfRangeError(f"ell_max {ell_max} is above the {MAX_RANGE_ELL} range bound")
     data = [WitnessData.from_prime(p) for p in witnesses]
     certs: list[Certificate] = []
     errors: list[tuple[int, str]] = []
@@ -306,10 +310,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
             "failed": [str(p) for p in cert.exceptional.failed],
         },
     }
-
-
-def certificate_json(cert: Certificate) -> str:
-    return json.dumps(certificate_to_dict(cert), sort_keys=True, separators=(",", ":"))
 
 
 def verify_certificate(doc: dict) -> bool:

@@ -6,12 +6,13 @@ timing goes to stderr.  Exit codes: 0 success, 1 usage error, bad input or
 cache file, 2 shape-law violation, 3 any other arithmetic check failure
 (Weil/Hasse bound, trace kernel, a certificate that `verify` rejects, a
 `group-check` identity that prints FAIL), 4 out-of-range request
-(including a field beyond the 2^20-entry character table), 5 some l given
-to `certify` is Inconclusive or errored.  `main` maps a library exception
-to its exit code through EXIT_CODES and prints one `error:` line; the only
-handler inside a command is the one for `lpoly --cache` file errors.
-`--json` and `--cache` files are replaced atomically, never left half
-written.
+(including a field beyond the 2^20-entry character table and an
+`--ell-range` above 10^6), 5 some l given to `certify` is Inconclusive or
+errored.  A command returns 0, 3 or 5 for its own verdict and raises for
+anything else; `main` is the only mapping from an exception to an exit code,
+through EXIT_CODES, and prints one `error:` line.  The only handler inside a
+command is the one for `lpoly --cache` file errors.  `--json` and `--cache`
+files are replaced atomically, never left half written.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import time
 
 from .certify import (
     OutOfRangeError,
+    RangeReport,
     certificate_to_dict,
     certify,
     certify_range,
@@ -85,6 +87,16 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
+def _read_json(path: str):
+    """The JSON document in path; one nested too deeply for the parser is a
+    ValueError, like any other malformed file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+
+
 def _write_json(path: str, payload) -> None:
     """Write payload as indented JSON to a temp file beside path, then
     rename it over path: a failed write leaves the old file as it was."""
@@ -109,8 +121,7 @@ def load_cache(path: str) -> dict[int, LPolynomial]:
     invariants or the shape law are rejected wholesale.  One
     deterministically chosen entry is recomputed from scratch and must match
     bit for bit."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if doc.get("version") != CACHE_VERSION:
         raise ValueError(f"unsupported cache version {doc.get('version')!r}")
     entries: dict[int, LPolynomial] = {}
@@ -196,29 +207,26 @@ def cmd_certify(args) -> int:
     t0 = time.perf_counter()
     witnesses = tuple(int(w) for w in args.witnesses.split(","))
     if args.ell is not None:
-        certs, errors = [certify(args.ell, witnesses)], ()
+        report = RangeReport((certify(args.ell, witnesses),), ())
     else:
         lo, _, hi = args.ell_range.partition(":")
         report = certify_range(int(lo), int(hi), witnesses)
-        certs, errors = list(report), report.errors
-    for cert in certs:
+    for cert in report:
         print(_cert_line(cert))
-    for ell, msg in errors:
+    for ell, msg in report.errors:
         print(f"ell={ell} error={msg}")
-    certified = sum(1 for c in certs if c.verdict == "Certified")
-    print(f"certified {certified}/{len(certs) + len(errors)}")
+    print(f"certified {report.certified_count}/{len(report) + len(report.errors)}")
     if args.json:
-        docs = [certificate_to_dict(c) for c in certs]
+        docs = [certificate_to_dict(c) for c in report]
         payload = docs[0] if args.ell is not None else docs
         _write_json(args.json, payload)
     print(f"certify took {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-    return EXIT_OK if certified == len(certs) and not errors else EXIT_INCONCLUSIVE
+    return EXIT_OK if report.all_certified else EXIT_INCONCLUSIVE
 
 
 def cmd_verify(args) -> int:
     """Re-check what `certify --json` wrote: one certificate or a list."""
-    with open(args.file, encoding="utf-8") as fh:
-        payload = json.load(fh)  # not JSON: a ValueError, exit 1
+    payload = _read_json(args.file)  # not JSON: a ValueError, exit 1
     docs = payload if isinstance(payload, list) else [payload]
     verified = sum(1 for doc in docs if verify_certificate(doc))
     print(f"verified {verified}/{len(docs)}")
@@ -237,11 +245,9 @@ def cmd_invariants(_args) -> int:
     factored_j_num = 256 * QPolynomial([1, 0, -1, 0, 1]) ** 3
     factored_j_den = t**4 * (t - one) ** 2 * (t + one) ** 2
     if inv.delta != RationalFunction(factored_delta):
-        _err("computed discriminant does not match its expected factorization")
-        return EXIT_WEIL
+        raise ArithmeticError("computed discriminant does not match its expected factorization")
     if inv.j != RationalFunction(factored_j_num, factored_j_den):
-        _err("computed j does not match its expected factorization")
-        return EXIT_WEIL
+        raise ArithmeticError("computed j does not match its expected factorization")
     print("model: y^2 = x^3 + (t^5 - t)*x^2 + (t^8 - 2*t^6 + t^4)*x")
     print(f"c4 = {format_poly(inv.c4.num, 't')}")
     print(f"c6 = {format_poly(inv.c6.num, 't')}")
@@ -260,11 +266,9 @@ def cmd_invariants(_args) -> int:
 def cmd_group_check(args) -> int:
     ell = args.ell
     if not is_prime(ell) or ell == 2:
-        _err(f"{ell} is not an odd prime")
-        return EXIT_USAGE
+        raise ValueError(f"{ell} is not an odd prime")
     if ell > GROUP_CHECK_MAX_ELL:
-        _err(f"group check limited to l <= {GROUP_CHECK_MAX_ELL} (closure cap)")
-        return EXIT_RANGE
+        raise OutOfRangeError(f"group check limited to l <= {GROUP_CHECK_MAX_ELL} (closure cap)")
     t0 = time.perf_counter()
     gamma = complex_structure(ell)
     gamma_sq_ok = mat_mul(gamma, gamma, ell) == mat_neg(identity(), ell)

@@ -28,7 +28,6 @@ from .qpoly import (
     rational_sqrt,
     series_exp,
     series_inverse,
-    series_log,
     series_mul,
 )
 
@@ -159,12 +158,6 @@ def euler_product_truncated(p: int, max_degree: int) -> list[int]:
     return series
 
 
-def trace_sums_from_series(series: list[int], count: int) -> list[Fraction]:
-    """Recover A_1..A_count from a truncated L-series via the logarithm."""
-    lg = series_log(series, count)
-    return [k * lg[k] for k in range(1, count + 1)]
-
-
 def roots_on_unit_circle(a: Fraction, b: Fraction) -> bool:
     """Whether 1 + aT + bT^2 + aT^3 + T^4 has all roots of absolute value 1.
 
@@ -254,32 +247,29 @@ def lpolynomial(p: int, mode: str = MODE_FE) -> LPolynomial:
 
 
 @dataclass(frozen=True)
-class SquareShape:
-    """P = (1 + b T + T^2)^2 with b*p integral; the p = 1 (mod 4) shape."""
-
-    b: Fraction
+class _Shape:
+    b: Fraction  # the middle coefficient of the shape law; b*p is integral
 
     @property
     def u(self) -> Fraction:
+        """u_p = b^2, the squared trace of a Kronecker factor of Frobenius."""
         return self.b * self.b
 
     def describe(self) -> str:
-        return f"square b={self.b}"
+        return f"{self.kind} b={self.b}"
 
 
-@dataclass(frozen=True)
-class BiquadraticShape:
+class SquareShape(_Shape):
+    """P = (1 + b T + T^2)^2 with b*p integral; the p = 1 (mod 4) shape."""
+
+    kind = "square"
+
+
+class BiquadraticShape(_Shape):
     """P = 1 + (b^2 - 2) T^2 + T^4 with b >= 0 and b*p integral; the
     p = 3 (mod 4) shape."""
 
-    b: Fraction
-
-    @property
-    def u(self) -> Fraction:
-        return self.b * self.b
-
-    def describe(self) -> str:
-        return f"biquadratic b={self.b}"
+    kind = "biquadratic"
 
 
 Shape = SquareShape | BiquadraticShape

@@ -1,4 +1,5 @@
-"""Shared modular-arithmetic helpers: primality, inverses, square roots mod p."""
+"""Shared modular-arithmetic helpers: primality, a prime sieve, Legendre
+symbols and square roots mod p.  Inverses mod p are `pow(a, -1, p)`."""
 
 from __future__ import annotations
 
@@ -40,10 +41,6 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return [i for i in range(max(lo, 2), hi + 1) if sieve[i]]
-
-
-def inv_mod(a: int, m: int) -> int:
-    return pow(a, -1, m)
 
 
 def legendre(a: int, p: int) -> int:

@@ -223,10 +223,10 @@ def reduce_mod(x: Fraction | int, ell: int) -> int:
     return x.numerator * pow(x.denominator, -1, ell) % ell
 
 
-def reduce_poly_mod(poly: QPolynomial, ell: int, width: int | None = None) -> tuple[int, ...]:
-    """Coefficients of poly in F_ell, zero-padded to `width` if given."""
-    n = width if width is not None else len(poly.coeffs)
-    return tuple(reduce_mod(poly[i], ell) for i in range(n))
+def reduce_poly_mod(poly: QPolynomial, ell: int) -> tuple[int, ...]:
+    """Coefficients of poly in F_ell, lowest degree first; one per
+    coefficient of poly, so a quartic gives five."""
+    return tuple(reduce_mod(c, ell) for c in poly.coeffs)
 
 
 # ---------------------------------------------------------------------------

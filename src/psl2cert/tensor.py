@@ -6,10 +6,12 @@ pairing h on F_l^2, written in the basis
 {e1 (x) e1, e2 (x) e1, e1 (x) e2, e2 (x) e2}.  Pairs of SL2 matrices act by
 the Kronecker product; this module provides that action, its inverse
 (rank-one block factorization, with the +-(A, B) ambiguity resolved by a
-canonical sign), the trace-square invariant extracted from a quartic mod l,
-the block-diagonal group generated together with the complex-structure
-matrix, its Gaussian-integer 2x2 model, and breadth-first group orders for
-validating all of it at small l.
+canonical sign), the block-diagonal group generated together with the
+complex-structure matrix, its Gaussian-integer 2x2 model, and breadth-first
+group orders for validating all of it at small l.
+
+u_p mod l, the squared trace of a Kronecker factor, is defined in `certify`;
+reading it off P_p mod l in this model is a test oracle in `tests/`.
 
 This module holds only the model: the F_l matrix arithmetic it uses, for
 the 2x2 factors and the 4x4 products alike, lives in `ortho`.
@@ -22,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .modarith import inv_mod, is_prime, legendre, sqrt_mod
+from .modarith import is_prime, legendre, sqrt_mod
 from .ortho import GramForm, Mat, OrthMatrix, identity, mat_det, mat_mul, mat_neg, mat_reduce
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -36,10 +38,6 @@ B0: Mat2 = ((0, -1), (1, 0))
 
 class NotDecomposableError(ValueError):
     """The matrix is not a Kronecker product of an SL2 pair."""
-
-
-class FormMismatchError(ValueError):
-    """A reduced quartic does not have the residue-class mandated shape."""
 
 
 class NotInGroupError(ValueError):
@@ -128,41 +126,17 @@ def kronecker_decompose(m, ell: int | None = None) -> PairSL2:
     d = mat_det(pivot, ell)
     if legendre(d, ell) != 1:
         raise NotDecomposableError("pivot block determinant is a nonsquare")
-    scale = inv_mod(sqrt_mod(d, ell), ell)
+    scale = pow(sqrt_mod(d, ell), -1, ell)
     a = tuple(tuple(x * scale % ell for x in row) for row in pivot)
     # with A fixed, every block is a scalar multiple of it; read the scalars
     i0, j0 = next((i, j) for i in range(2) for j in range(2) if a[i][j])
-    a_inv_entry = inv_mod(a[i0][j0], ell)
+    a_inv_entry = pow(a[i0][j0], -1, ell)
     b = tuple(
         tuple(block(l, j)[i0][j0] * a_inv_entry % ell for j in range(2)) for l in range(2)
     )
     if mat_det(a, ell) != 1 or mat_det(b, ell) != 1 or _kron(a, b, ell) != mat:
         raise NotDecomposableError("matrix is not a Kronecker product of an SL2 pair")
     return _canonical_pair(a, b, ell)
-
-
-def trace_square_invariant(pmod: tuple[int, ...], p: int, ell: int) -> int:
-    """The squared trace of either Kronecker factor, read off a reduced
-    quartic 1 + c1 T + c2 T^2 + c3 T^3 + c4 T^4 over F_l.
-
-    For p = 1 (mod 4) the quartic must be (1 + bT + T^2)^2 and the value is
-    b^2; for p = 3 (mod 4) it must be 1 + (b^2 - 2) T^2 + T^4 and the value
-    is c2 + 2.  Well defined despite the sign ambiguity of the trace.
-    """
-    if p % 2 == 0 or p % ell == 0:
-        raise ValueError("witness prime must be odd and different from l")
-    c = tuple(x % ell for x in pmod)
-    if len(c) != 5 or c[0] != 1:
-        raise FormMismatchError(f"not a quartic with constant term 1: {c}")
-    if p % 4 == 1:
-        b = c[1] * inv_mod(2, ell) % ell
-        expect = (1, 2 * b % ell, (b * b + 2) % ell, 2 * b % ell, 1)
-        if c != expect:
-            raise FormMismatchError(f"reduction {c} is not a squared quadratic mod {ell}")
-        return b * b % ell
-    if c[1] != 0 or c[3] != 0 or c[4] != 1:
-        raise FormMismatchError(f"reduction {c} is not biquadratic mod {ell}")
-    return (c[2] + 2) % ell
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@
   form of `qpoly.power_sums`, `qpoly.nth_power_poly` and
   `ortho.reciprocal_charpoly`;
 - the Weierstrass model rewritten in s = 1/t and twisted to be regular at
-  s = 0, for the weight formula of `weierstrass.place_valuations` at oo.
+  s = 0, for the weight formula of `weierstrass.place_valuations` at oo;
+- u_p mod l read off the reduced quartic P_p mod l in the SL2 (x) SL2 model,
+  for the one definition `reduce_mod(shape.u, l)` that `certify` records.
 """
 
 import itertools
@@ -156,3 +158,31 @@ def valuations_at_infinity(model: WeierstrassModel) -> tuple:
     """(v(Delta), v(c4)) at s = 0 of the twisted model in s = 1/t."""
     inv = invariants(model_at_infinity(model)[0])
     return valuation(inv.delta, 0), valuation(inv.c4, 0)
+
+
+class FormMismatchError(ValueError):
+    """A reduced quartic does not have the residue-class mandated shape."""
+
+
+def trace_square_invariant(pmod: tuple[int, ...], p: int, ell: int) -> int:
+    """The squared trace of either Kronecker factor, read off a reduced
+    quartic 1 + c1 T + c2 T^2 + c3 T^3 + c4 T^4 over F_l.
+
+    For p = 1 (mod 4) the quartic must be (1 + bT + T^2)^2 and the value is
+    b^2; for p = 3 (mod 4) it must be 1 + (b^2 - 2) T^2 + T^4 and the value
+    is c2 + 2.  Well defined despite the sign ambiguity of the trace.
+    """
+    if p % 2 == 0 or p % ell == 0:
+        raise ValueError("witness prime must be odd and different from l")
+    c = tuple(x % ell for x in pmod)
+    if len(c) != 5 or c[0] != 1:
+        raise FormMismatchError(f"not a quartic with constant term 1: {c}")
+    if p % 4 == 1:
+        b = c[1] * pow(2, -1, ell) % ell
+        expect = (1, 2 * b % ell, (b * b + 2) % ell, 2 * b % ell, 1)
+        if c != expect:
+            raise FormMismatchError(f"reduction {c} is not a squared quadratic mod {ell}")
+        return b * b % ell
+    if c[1] != 0 or c[3] != 0 or c[4] != 1:
+        raise FormMismatchError(f"reduction {c} is not biquadratic mod {ell}")
+    return (c[2] + 2) % ell

@@ -33,7 +33,7 @@ from psl2cert.ortho import (
     spinor_norm,
     spinor_norm_by_reflections,
 )
-from psl2cert.qpoly import QPolynomial, eval_exact, nth_power_poly, reduce_mod, series_exp
+from psl2cert.qpoly import QPolynomial, eval_exact, nth_power_poly, reduce_mod, reduce_poly_mod, series_exp
 from psl2cert.tensor import (
     GaussianMat,
     M2_IDENTITY,
@@ -46,9 +46,7 @@ from psl2cert.tensor import (
     tensor_action_matrix,
     tensor_form,
     to_gaussian,
-    trace_square_invariant,
 )
-from psl2cert.qpoly import reduce_poly_mod
 from psl2cert.weierstrass import (
     INF,
     RationalFunction,
@@ -57,6 +55,7 @@ from psl2cert.weierstrass import (
     pole_order_lcm,
     surface_model,
 )
+from slow_paths import trace_square_invariant
 
 
 def report(number, description, checks, detail=""):
@@ -200,8 +199,8 @@ def test_criterion_09_tensor_suite():
                 checks.append(tensor_action(a, b, ell).mat != identity())
             pair = kronecker_decompose(tensor_action(a, b, ell))
             checks.append(tensor_action_matrix(pair.a, pair.b, ell) == tensor_action(a, b, ell).mat)
-        p3 = reduce_poly_mod(lpolynomial(3).as_qpoly(), ell, 5)
-        p5 = reduce_poly_mod(lpolynomial(5).as_qpoly(), ell, 5)
+        p3 = reduce_poly_mod(lpolynomial(3).as_qpoly(), ell)
+        p5 = reduce_poly_mod(lpolynomial(5).as_qpoly(), ell)
         checks.append(trace_square_invariant(p3, 3, ell) == reduce_mod(Q(16, 9), ell))
         checks.append(trace_square_invariant(p5, 5, ell) == reduce_mod(Q(4, 25), ell))
     report(9, "pair-action kernel, Kronecker roundtrips, trace-square values", checks)

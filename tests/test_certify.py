@@ -11,7 +11,6 @@ from psl2cert.certify import (
     BOREL_POINTS,
     OutOfRangeError,
     WitnessData,
-    certificate_json,
     certificate_to_dict,
     certify,
     certify_range,
@@ -30,7 +29,7 @@ from psl2cert.qpoly import (
     reduce_mod,
     reduce_poly_mod,
 )
-from psl2cert.tensor import trace_square_invariant
+from slow_paths import trace_square_invariant
 
 
 def witness(p):
@@ -151,7 +150,7 @@ def test_exceptional_u_is_the_tensor_trace_square_invariant():
     for ell in primes_in_range(11, 2000):
         usable = [wd for wd in data if wd.p != ell]
         for wd, (p, u) in zip(usable, eliminate_exceptional(ell, usable).witness_u):
-            assert u == trace_square_invariant(reduce_poly_mod(wd.lp.as_qpoly(), ell, 5), p, ell)
+            assert u == trace_square_invariant(reduce_poly_mod(wd.lp.as_qpoly(), ell), p, ell)
             pairs += 1
     assert pairs == 1791
 
@@ -197,8 +196,8 @@ def test_certify_range_matches_single_certify():
     report = certify_range(11, 200)
     assert report.errors == ()
     assert [c.ell for c in report] == primes_in_range(11, 200)
-    assert [certificate_json(c) for c in report] == [
-        certificate_json(certify(c.ell)) for c in report
+    assert [certificate_to_dict(c) for c in report] == [
+        certificate_to_dict(certify(c.ell)) for c in report
     ]
 
 
@@ -262,7 +261,7 @@ def test_certificate_checker_accepts_and_rejects():
     for ell in (19, 1601):
         cert = certify(ell)
         assert verify_certificate(certificate_to_dict(cert))
-        doc = json.loads(certificate_json(cert))
+        doc = json.loads(json.dumps(certificate_to_dict(cert)))
         assert verify_certificate(doc)
 
         leaves = list(string_leaves(doc))
@@ -273,11 +272,11 @@ def test_certificate_checker_accepts_and_rejects():
 
 
 def test_certificates_deterministic():
-    assert certificate_json(certify(19)) == certificate_json(certify(19))
+    assert certificate_to_dict(certify(19)) == certificate_to_dict(certify(19))
 
 
 def test_inconclusive_certificate_names_failures():
     cert = certify(23, witnesses=(5,))
     assert cert.verdict == "Inconclusive"
-    assert "borel" in cert.failed_branches()
+    assert not cert.borel.eliminated
     assert cert.borel.failed == (5,)

@@ -375,3 +375,46 @@ def test_verify_rejects_unreadable_file(capsys, tmp_path, content):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# The CLI in a child whose address space is capped at 3 GiB, so a regression
+# that allocates per l up to 10^10 fails fast instead of exhausting memory.
+# {patch} runs after `cli` is imported and before `main`.
+CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from psl2cert import cli
+{patch}
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+WRONG_DELTA = """
+real = cli.invariants
+cli.invariants = lambda model: real(model)._replace(delta=real(model).c4)
+"""
+
+
+BAD_COMMAND_LINES = [
+    (["certify", "--ell-range", "11:10000000000"], EXIT_RANGE, ""),
+    (["verify", "{deep}"], EXIT_USAGE, ""),
+    (["lpoly", "--p", "3", "--cache", "{deep}"], EXIT_USAGE, ""),
+    (["group-check", "--ell", "4"], EXIT_USAGE, ""),
+    (["group-check", "--ell", "37"], EXIT_RANGE, ""),
+    (["certify", "--ell-range", "11"], EXIT_USAGE, ""),
+    (["certify", "--ell-range", "20:11"], EXIT_RANGE, ""),
+    (["lpoly", "--p", "1031"], EXIT_RANGE, ""),
+    (["invariants"], EXIT_WEIL, WRONG_DELTA),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, patch", BAD_COMMAND_LINES, ids=[" ".join(argv) for argv, _, _ in BAD_COMMAND_LINES]
+)
+def test_bad_command_lines_print_one_error_line_and_no_traceback(tmp_path, argv, code, patch):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)  # beyond the parser's recursion limit
+    argv = [arg.format(deep=deep) for arg in argv]
+    child = run_python("-c", CAPPED_CLI.format(patch=patch), *argv)
+    assert "Traceback" not in child.stderr
+    assert (child.returncode, child.stdout) == (code, "")
+    assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
