@@ -19,6 +19,13 @@ rational witness data, so an independent checker can re-verify it without
 recomputing any point counts.  The reduction from these residue conditions
 to actual surjectivity onto PSL2(F_l) is external to this artifact.
 
+Everything that does not depend on l is done once per distinct witness and
+process: `WitnessData.from_lpolynomial` is memoised on its `LPolynomial`,
+each witness holds its values as integers over one common denominator D
+(so an l costs one inverse of D per witness) and its JSON strings, and the
+checker parses each distinct (p, a, b) once.  Only the residues are computed
+per l, in certifying and in checking alike.
+
 The recorded discriminant, and with it the cartan `separability` residue, is
 0 for every witness p = 1 (mod 4): P_p is a square there, so that residue
 asserts nothing for such witnesses.  Recording something meaningful instead
@@ -29,11 +36,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from math import lcm
+from typing import NamedTuple
 
 from .gf import OutOfRangeError
 from .lpoly import LPolynomial, SquareShape, lpolynomial, shape_classify
 from .modarith import is_prime, primes_in_range
-from .qpoly import Q, QPolynomial, frac_str, parse_frac, reduce_mod, reduce_poly_mod
+from .qpoly import DenominatorDivisibleError, Q, QPolynomial, frac_str, parse_frac
 
 # Unused here; kept because perfbench's traced worker wraps these two names.
 from .qpoly import discriminant, nth_power_poly  # noqa: F401
@@ -46,9 +56,21 @@ BOREL_POINTS = ((1, 0), (-1, 0), (1, 1), (-1, 1))
 
 EXCEPTIONAL_TRACE_SET = (0, 1, 2, 4)
 
+WITNESS_MEMO_SIZE = 64  # distinct witnesses kept by each memo below
+
 
 class CertificateError(ValueError):
     """A certificate failed independent re-verification."""
+
+
+class _Scaled(NamedTuple):
+    """A witness's values as integers over one common denominator."""
+
+    den: int
+    borel: tuple[int, ...]
+    p4: tuple[int, ...]
+    disc: int
+    u: int
 
 
 @dataclass(frozen=True)
@@ -64,8 +86,10 @@ class WitnessData:
     disc: Fraction  # discriminant of P_p; 0 whenever p = 1 (mod 4)
 
     @staticmethod
+    @lru_cache(maxsize=WITNESS_MEMO_SIZE)
     def from_lpolynomial(lp: LPolynomial) -> "WitnessData":
-        """Closed form in s = shape.b, with no power sums or resultants.
+        """Closed form in s = shape.b, with no power sums or resultants;
+        memoised on lp, so equal inputs share one (immutable) result.
 
         The squares of the inverse roots of P_p are beta, conj(beta), each
         twice, with beta conj(beta) = 1 and beta + conj(beta) = s^2 - 2
@@ -88,6 +112,31 @@ class WitnessData:
     @staticmethod
     def from_prime(p: int) -> "WitnessData":
         return WitnessData.from_lpolynomial(lpolynomial(p))
+
+    @cached_property
+    def scaled(self) -> _Scaled:
+        """Every value reduced by the eliminations, as an integer over the
+        least common denominator D (a power of p for real witness data)."""
+        values = (*self.borel_values, *self.p4.coeffs, self.disc, self.u)
+        den = lcm(*(x.denominator for x in values))
+        nums = tuple(x.numerator * (den // x.denominator) for x in values)
+        return _Scaled(den, nums[:4], nums[4:-2], nums[-2], nums[-1])
+
+    @cached_property
+    def json_strings(self) -> tuple:
+        """(p, a, b, p4, u, disc) as the certificate writes them; p4 is a
+        tuple of five strings."""
+        a, b, u, disc = (frac_str(x) for x in (self.lp.a, self.lp.b, self.u, self.disc))
+        return str(self.p), a, b, tuple(frac_str(self.p4[i]) for i in range(5)), u, disc
+
+    def den_inverse(self, ell: int) -> int:
+        """D^-1 mod l, the one inverse each elimination takes per witness."""
+        den = self.scaled.den
+        if den % ell == 0:
+            raise DenominatorDivisibleError(
+                f"denominator {den} of witness {self.p} is divisible by {ell}; invalid witness/l pairing"
+            )
+        return pow(den, -1, ell)
 
 
 @dataclass(frozen=True)
@@ -162,9 +211,10 @@ def _first_passing(pairs, passes) -> tuple[int | None, tuple[int, ...]]:
 
 def eliminate_borel(ell: int, data: list[WitnessData]) -> BorelRecord:
     """One witness whose four evaluations are all nonzero mod l suffices."""
+    invs = [wd.den_inverse(ell) for wd in data]
     residues = tuple(
-        (wd.p, tuple((*pt, reduce_mod(v, ell)) for pt, v in zip(BOREL_POINTS, wd.borel_values)))
-        for wd in data
+        (wd.p, tuple((*pt, n * inv % ell) for pt, n in zip(BOREL_POINTS, wd.scaled.borel)))
+        for wd, inv in zip(data, invs)
     )
     by, failed = _first_passing(residues, lambda res: all(r for _, _, r in res))
     return BorelRecord(by, residues, failed)
@@ -179,8 +229,9 @@ def eliminate_cartan(ell: int, data: list[WitnessData]) -> CartanRecord:
     separability fact for the normalizer-coset argument; it is 0, and says
     nothing, for every witness p = 1 (mod 4), whose P_p is a square."""
     excluded = [tuple(c % ell for c in f) for f in _EXCLUDED_QUARTICS]
-    reductions = tuple((wd.p, reduce_poly_mod(wd.p4, ell)) for wd in data)
-    separability = tuple((wd.p, reduce_mod(wd.disc, ell)) for wd in data)
+    invs = [wd.den_inverse(ell) for wd in data]
+    reductions = tuple((wd.p, tuple(n * inv % ell for n in wd.scaled.p4)) for wd, inv in zip(data, invs))
+    separability = tuple((wd.p, wd.scaled.disc * inv % ell) for wd, inv in zip(data, invs))
     by, failed = _first_passing(reductions, lambda red: red not in excluded)
     return CartanRecord(by, reductions, separability, failed)
 
@@ -189,7 +240,7 @@ def eliminate_exceptional(ell: int, data: list[WitnessData]) -> ExceptionalRecor
     """Some witness must have u_p mod l outside {0, 1, 2, 4} and not a root
     of u^2 - 3u + 1."""
     small = {x % ell for x in EXCEPTIONAL_TRACE_SET}
-    values = tuple((wd.p, reduce_mod(wd.u, ell)) for wd in data)
+    values = tuple((wd.p, wd.scaled.u * wd.den_inverse(ell) % ell) for wd in data)
     by, failed = _first_passing(values, lambda u: u not in small and (u * u - 3 * u + 1) % ell != 0)
     return ExceptionalRecord(by, values, failed)
 
@@ -245,9 +296,9 @@ def certify_range(ell_min: int, ell_max: int, witnesses=(3, 5)) -> RangeReport:
     data is computed once and reduced per l.
 
     ell_max is capped at MAX_RANGE_ELL = 10^6 because the report holds every
-    certificate: about 2.7 KB each, 11 KB while `certify --json` writes them.
-    The 78,498 primes below 10^6 take about 0.2 GB, or 0.9 GB with --json;
-    the 664,579 below 10^7 would take 1.8 GB, or 7 GB.
+    certificate, about 2.7 KB each; `certify --json` writes the documents one
+    at a time and holds no more.  The 78,498 primes below 10^6 take about
+    0.2 GB; the 664,579 below 10^7 would take 1.8 GB.
     """
     if not MIN_ELL <= ell_min <= ell_max:
         raise OutOfRangeError(f"need {MIN_ELL} <= ell_min <= ell_max")
@@ -274,15 +325,8 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "verdict": cert.verdict,
         "witnesses": [str(p) for p in cert.witnesses],
         "witness_data": [
-            {
-                "p": str(wd.p),
-                "a": frac_str(wd.lp.a),
-                "b": frac_str(wd.lp.b),
-                "p4": [frac_str(wd.p4[i]) for i in range(5)],
-                "u": frac_str(wd.u),
-                "disc": frac_str(wd.disc),
-            }
-            for wd in cert.witness_data
+            {"p": p, "a": a, "b": b, "p4": list(p4), "u": u, "disc": disc}
+            for p, a, b, p4, u, disc in (wd.json_strings for wd in cert.witness_data)
         ],
         "borel": {
             "eliminated_by": None if cert.borel.eliminated_by is None else str(cert.borel.eliminated_by),
@@ -323,13 +367,19 @@ def verify_certificate(doc: dict) -> bool:
         return False
 
 
+@lru_cache(maxsize=WITNESS_MEMO_SIZE)
+def _parse_witness(p, a, b) -> LPolynomial:
+    """The validated P_p of one stored (p, a, b); a value that is not
+    hashable raises TypeError, and no failure is memoised."""
+    return LPolynomial(int(p), parse_frac(a), parse_frac(b))
+
+
 def _verify(doc: dict):
     ell = int(doc["ell"])
-    data = []
-    for w in doc["witness_data"]:
-        p = int(w["p"])
-        lp = LPolynomial(p, parse_frac(w["a"]), parse_frac(w["b"]))
-        data.append(WitnessData.from_lpolynomial(lp))
+    data = [
+        WitnessData.from_lpolynomial(_parse_witness(w["p"], w["a"], w["b"]))
+        for w in doc["witness_data"]
+    ]
     fresh = certify_with_data(ell, data)
     if certificate_to_dict(fresh) != doc:
         raise CertificateError("stored residues disagree with recomputation")

@@ -97,13 +97,38 @@ def _read_json(path: str):
             raise ValueError("JSON nested too deeply") from None
 
 
-def _write_json(path: str, payload) -> None:
+class _ListItemWriter:
+    """Text sink for one item of an indented JSON list: one more space after
+    each newline.  `json.dump(item, sink, indent=1)` then writes the bytes
+    the item has inside `json.dump([...], indent=1)`, because a JSON string
+    holds no raw newline."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text: str) -> None:
+        self.fh.write(text.replace("\n", "\n "))
+
+
+def _write_json(path: str, payload, stream: bool = False) -> None:
     """Write payload as indented JSON to a temp file beside path, then
-    rename it over path: a failed write leaves the old file as it was."""
+    rename it over path: a failed write leaves the old file as it was.
+
+    With stream, payload is an iterable written as a JSON list one item at a
+    time, so no more than one item is held in memory; the bytes are those
+    of dumping the whole list."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
+            if stream:
+                sink, sep = _ListItemWriter(fh), "[\n "
+                for item in payload:
+                    fh.write(sep)
+                    json.dump(item, sink, sort_keys=True, indent=1)
+                    sep = ",\n "
+                fh.write("[]" if sep == "[\n " else "\n]")
+            else:
+                json.dump(payload, fh, sort_keys=True, indent=1)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
@@ -217,9 +242,10 @@ def cmd_certify(args) -> int:
         print(f"ell={ell} error={msg}")
     print(f"certified {report.certified_count}/{len(report) + len(report.errors)}")
     if args.json:
-        docs = [certificate_to_dict(c) for c in report]
-        payload = docs[0] if args.ell is not None else docs
-        _write_json(args.json, payload)
+        if args.ell is not None:
+            _write_json(args.json, certificate_to_dict(report.certificates[0]))
+        else:
+            _write_json(args.json, map(certificate_to_dict, report), stream=True)
     print(f"certify took {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return EXIT_OK if report.all_certified else EXIT_INCONCLUSIVE
 

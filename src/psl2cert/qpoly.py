@@ -223,12 +223,6 @@ def reduce_mod(x: Fraction | int, ell: int) -> int:
     return x.numerator * pow(x.denominator, -1, ell) % ell
 
 
-def reduce_poly_mod(poly: QPolynomial, ell: int) -> tuple[int, ...]:
-    """Coefficients of poly in F_ell, lowest degree first; one per
-    coefficient of poly, so a quartic gives five."""
-    return tuple(reduce_mod(c, ell) for c in poly.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # truncated power series (lists of coefficients, index = degree)
 

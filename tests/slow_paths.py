@@ -9,7 +9,9 @@
 - the Weierstrass model rewritten in s = 1/t and twisted to be regular at
   s = 0, for the weight formula of `weierstrass.place_valuations` at oo;
 - u_p mod l read off the reduced quartic P_p mod l in the SL2 (x) SL2 model,
-  for the one definition `reduce_mod(shape.u, l)` that `certify` records.
+  for the one definition of u_p mod l that `certify` records;
+- a polynomial reduced mod l one coefficient and one inverse at a time, for
+  `certify`'s residues over one common denominator per witness.
 """
 
 import itertools
@@ -186,3 +188,9 @@ def trace_square_invariant(pmod: tuple[int, ...], p: int, ell: int) -> int:
     if c[1] != 0 or c[3] != 0 or c[4] != 1:
         raise FormMismatchError(f"reduction {c} is not biquadratic mod {ell}")
     return (c[2] + 2) % ell
+
+
+def reduce_poly_mod(poly: QPolynomial, ell: int) -> tuple[int, ...]:
+    """Coefficients of poly in F_ell, lowest degree first; one per
+    coefficient of poly, so a quartic gives five."""
+    return tuple(reduce_mod(c, ell) for c in poly.coeffs)

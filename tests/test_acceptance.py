@@ -33,7 +33,7 @@ from psl2cert.ortho import (
     spinor_norm,
     spinor_norm_by_reflections,
 )
-from psl2cert.qpoly import QPolynomial, eval_exact, nth_power_poly, reduce_mod, reduce_poly_mod, series_exp
+from psl2cert.qpoly import QPolynomial, eval_exact, nth_power_poly, reduce_mod, series_exp
 from psl2cert.tensor import (
     GaussianMat,
     M2_IDENTITY,
@@ -55,7 +55,7 @@ from psl2cert.weierstrass import (
     pole_order_lcm,
     surface_model,
 )
-from slow_paths import trace_square_invariant
+from slow_paths import reduce_poly_mod, trace_square_invariant
 
 
 def report(number, description, checks, detail=""):

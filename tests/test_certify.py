@@ -1,5 +1,6 @@
 """The three elimination branches, certificates, and the checker."""
 
+import importlib
 import json
 from fractions import Fraction as Q
 
@@ -22,14 +23,14 @@ from psl2cert.certify import (
 from psl2cert.lpoly import LPolynomial
 from psl2cert.modarith import primes_in_range
 from psl2cert.qpoly import (
+    DenominatorDivisibleError,
     QPolynomial,
     discriminant,
     eval_exact,
     nth_power_poly,
     reduce_mod,
-    reduce_poly_mod,
 )
-from slow_paths import trace_square_invariant
+from slow_paths import reduce_poly_mod, trace_square_invariant
 
 
 def witness(p):
@@ -38,6 +39,9 @@ def witness(p):
 
 W3 = witness(3)
 W5 = witness(5)
+
+# psl2cert.certify is the function re-exported by the package, not the module
+certify_module = importlib.import_module("psl2cert.certify")
 
 
 def assert_matches_oracle(wd: WitnessData):
@@ -140,6 +144,35 @@ def test_exceptional_residues():
     assert rec13.eliminated_by == 3
     assert dict(rec13.witness_u)[3] == 9
     assert (9 * 9 - 27 + 1) % 13 == 3  # stays nonzero
+
+
+def test_residues_over_one_denominator_match_reduce_mod():
+    # each elimination takes one inverse of the common denominator per
+    # witness; every residue must equal the exact value reduced on its own
+    data = [witness(p) for p in (3, 5, 7, 13, 17, 29)]
+    pairs = 0
+    for ell in primes_in_range(11, 5000):
+        usable = [wd for wd in data if wd.p != ell]
+        borel = eliminate_borel(ell, usable)
+        cartan = eliminate_cartan(ell, usable)
+        exceptional = eliminate_exceptional(ell, usable)
+        for i, wd in enumerate(usable):
+            assert borel.witness_residues[i] == (
+                wd.p,
+                tuple((*pt, reduce_mod(v, ell)) for pt, v in zip(BOREL_POINTS, wd.borel_values)),
+            )
+            assert cartan.witness_reductions[i] == (wd.p, reduce_poly_mod(wd.p4, ell))
+            assert cartan.separability[i] == (wd.p, reduce_mod(wd.disc, ell))
+            assert exceptional.witness_u[i] == (wd.p, reduce_mod(wd.u, ell))
+            pairs += 1
+    assert pairs == 6 * 665 - 3  # 13, 17 and 29 lie in the range
+
+
+def test_eliminations_refuse_l_dividing_the_denominator():
+    for p in (3, 5, 7, 13, 17, 29):
+        for eliminate in (eliminate_borel, eliminate_cartan, eliminate_exceptional):
+            with pytest.raises(DenominatorDivisibleError):
+                eliminate(p, [witness(p)])
 
 
 def test_exceptional_u_is_the_tensor_trace_square_invariant():
@@ -269,6 +302,56 @@ def test_certificate_checker_accepts_and_rejects():
         for path, leaf in leaves:
             for other in alternatives(leaf):
                 assert not verify_certificate(replaced(doc, path, other)), (ell, path, other)
+
+
+def test_warm_memo_does_not_weaken_the_checker():
+    good = json.loads(json.dumps(certificate_to_dict(certify(19))))
+    assert verify_certificate(good)  # both witnesses are now memoised
+    tampered = []
+    for key in ("a", "b", "u", "disc"):
+        doc = json.loads(json.dumps(good))
+        doc["witness_data"][0][key] = {"a": "1/3", "b": "5/3", "u": "3/1", "disc": "1/1"}[key]
+        tampered.append(doc)
+    doc = json.loads(json.dumps(good))
+    doc["witness_data"][1]["p4"][2] = "7/1"
+    tampered.append(doc)
+    doc = json.loads(json.dumps(good))
+    doc["witness_data"][0]["a"] = ["0/1"]  # unhashable where a string belongs
+    tampered.append(doc)
+    for doc in tampered:
+        assert doc != good
+        assert not verify_certificate(doc)
+    assert verify_certificate(good)
+
+
+def test_certificate_to_dict_returns_fresh_documents():
+    cert = certify(19)
+    before = json.dumps(certificate_to_dict(cert), sort_keys=True)
+    doc = certificate_to_dict(cert)
+    doc["witness_data"][0]["p4"][0] = "2/1"
+    doc["witness_data"][1]["a"] = "9/1"
+    doc["witness_data"].append({})
+    assert json.dumps(certificate_to_dict(cert), sort_keys=True) == before
+
+
+def test_round_trip_derives_each_witness_once(monkeypatch):
+    # a count, not a timing: the closed form starts with shape_classify, and
+    # 200 certificates made and checked need it once per distinct witness
+    calls = []
+    shape_classify = certify_module.shape_classify
+
+    def counting(lp):
+        calls.append(lp.p)
+        return shape_classify(lp)
+
+    monkeypatch.setattr(certify_module, "shape_classify", counting)
+    WitnessData.from_lpolynomial.cache_clear()
+    ells = primes_in_range(11, 1300)[:200]
+    report = certify_range(ells[0], ells[-1])
+    assert [c.ell for c in report] == ells
+    for cert in report:
+        assert verify_certificate(json.loads(json.dumps(certificate_to_dict(cert))))
+    assert sorted(calls) == [3, 5]
 
 
 def test_certificates_deterministic():

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import run_python
 from psl2cert import cli, gf, lpoly
-from psl2cert.certify import OutOfRangeError, verify_certificate
+from psl2cert.certify import OutOfRangeError, certificate_to_dict, certify_range, verify_certificate
 from psl2cert.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -347,6 +347,19 @@ def test_verify_command(capsys, tmp_path):
     single.write_text(json.dumps(doc))
     code, out = run(capsys, "verify", str(single))
     assert (code, out) == (EXIT_WEIL, "verified 0/1\n")
+
+
+@pytest.mark.parametrize(
+    "ell_range, witnesses",
+    [("11:100", "3,5"), ("11:11", "11")],  # the second writes an empty list
+)
+def test_ell_range_json_is_streamed_as_the_indented_list(capsys, tmp_path, ell_range, witnesses):
+    path = tmp_path / "certs.json"
+    run(capsys, "certify", "--ell-range", ell_range, "--witnesses", witnesses, "--json", str(path))
+    lo, hi = map(int, ell_range.split(":"))
+    report = certify_range(lo, hi, tuple(map(int, witnesses.split(","))))
+    docs = [certificate_to_dict(c) for c in report]
+    assert path.read_text() == json.dumps(docs, sort_keys=True, indent=1) + "\n"
 
 
 @pytest.mark.parametrize("p", ("1", "-1"))

@@ -18,7 +18,7 @@ from psl2cert.ortho import (
     mat_trace,
     reciprocal_charpoly,
 )
-from psl2cert.qpoly import reduce_mod, reduce_poly_mod
+from psl2cert.qpoly import reduce_mod
 from psl2cert.tensor import (
     B0,
     CapExceededError,
@@ -36,7 +36,7 @@ from psl2cert.tensor import (
     tensor_form,
     to_gaussian,
 )
-from slow_paths import FormMismatchError, group_order_tuple_bfs, trace_square_invariant
+from slow_paths import FormMismatchError, group_order_tuple_bfs, reduce_poly_mod, trace_square_invariant
 
 LS = (11, 13, 19)
 
