@@ -182,6 +182,13 @@ class Certificate:
         return "Certified" if all(r.eliminated for r in records) else "Inconclusive"
 
 
+@lru_cache(maxsize=WITNESS_MEMO_SIZE)
+def _non_odd_primes(witnesses: tuple[int, ...]) -> frozenset[int]:
+    """The witnesses that are not odd primes: tested once per distinct
+    witness tuple, not once per l."""
+    return frozenset(p for p in witnesses if not is_prime(p) or p == 2)
+
+
 def _validate(ell: int, witnesses: tuple[int, ...]):
     if not is_prime(ell):
         raise ValueError(f"l = {ell} is not prime")
@@ -189,8 +196,9 @@ def _validate(ell: int, witnesses: tuple[int, ...]):
         raise OutOfRangeError(f"l = {ell} is below the certifiable range (l >= {MIN_ELL})")
     if not witnesses:
         raise ValueError("witness set is empty")
+    bad = _non_odd_primes(witnesses)
     for p in witnesses:
-        if not is_prime(p) or p == 2:
+        if p in bad:
             raise ValueError(f"witness {p} is not an odd prime")
         if p == ell:
             raise ValueError(f"witness {p} coincides with l")

@@ -7,8 +7,9 @@ The factorization is constructive and uses at most 4 reflections.  Its
 candidate vectors come from the coordinate grid {0..4}^4: every polynomial
 it must avoid has degree at most 4 in each coordinate, and l >= 11, so by
 the Combinatorial Nullstellensatz a nonzero one is nonzero on the grid.
-Each recursion step scores every grid point in one numpy pass and keeps
-the first that passes, in itertools.product order.
+Each recursion step scores the grid in chunks of CHUNK points, one numpy
+pass per chunk in itertools.product order, and stops at the first chunk
+that holds a pass; the first passing point is kept.
 
 The spinor norm has two independent evaluation paths: det(I + A) when that
 determinant is nonzero, and otherwise the product of the square classes
@@ -33,6 +34,7 @@ Vec = tuple[int, ...]
 
 DIM = 4
 GRID = 5  # candidate coordinates 0..4: one more than the degree of Q(x) Q(mx - x)
+_IDENTITY = np.eye(DIM, dtype=np.int64)
 
 
 def identity(n: int = DIM) -> Mat:
@@ -186,45 +188,64 @@ def _grid(k: int) -> np.ndarray:
     return np.array(list(itertools.product(range(GRID), repeat=k)), dtype=np.int64)
 
 
-def _factor(mat: Mat, basis: list[Vec], form: GramForm) -> list[Vec]:
-    """Reflection vectors for mat, which preserves the nondegenerate span V
-    of basis and fixes V^perp pointwise."""
-    if mat == identity():
+# Grid points scored per numpy pass.  On 147 random and unipotent tensor-form
+# matrices at l = 11..31 the first passing index was 30-32 at k = 4 (7 fell
+# through), at most 26 at k = 3, at most 6 at k = 2 and 1 at k = 1, so one
+# chunk almost always holds the first pass.
+CHUNK = 64
+
+
+def _reflect(m: np.ndarray, v: np.ndarray, g: np.ndarray, ell: int) -> np.ndarray:
+    """r_v m, as the rank-one update m - (2 / Q(v)) v (v^T G m)."""
+    gv = v @ g % ell
+    scale = 2 * pow(int(gv @ v % ell), -1, ell) % ell
+    return (m - v[:, None] * (gv @ m % ell * scale % ell)) % ell
+
+
+def _factor(m: np.ndarray, basis: np.ndarray, g: np.ndarray, ell: int) -> list[Vec]:
+    """Reflection vectors for m, which preserves the nondegenerate span V
+    of the rows of basis and fixes V^perp pointwise.  Every array holds
+    residues mod l, on int64 or on Python integers as cartan_dieudonne
+    chose."""
+    diff = (m - _IDENTITY) % ell
+    if not diff.any():
         return []
-    ell = form.ell
-    # every entry below stays under 16 l^3 before its reduction
-    dtype = np.int64 if 16 * ell**3 < 2**63 else object
     coeffs = _grid(len(basis))
-    g = np.array(form.gram, dtype=dtype)
-    b = np.array(basis, dtype=dtype)
-    x = coeffs @ b % ell
-    w = (x @ np.array(mat, dtype=dtype).T - x) % ell
 
     def norms(v):
         return ((v @ g) * v).sum(1) % ell
 
-    qx = norms(x)
-    anisotropic = qx != 0
-    # keep x when mat fixes it (w has entries in [0, l), so w = 0 iff its
-    # sum is 0) or when w = mat x - x is anisotropic
-    passing = (anisotropic & ((norms(w) != 0) | (w.sum(1) == 0))).tolist()
-    if True not in passing:
-        # Every difference vector is isotropic, so im(mat - 1) is totally
-        # isotropic and det mat = 1; after one reflection the det is -1 and
+    first = None  # the first anisotropic x, for the fall-through
+    for start in range(0, len(coeffs), CHUNK):
+        c = coeffs[start : start + CHUNK]
+        x = c @ basis % ell
+        w = x @ diff.T % ell
+        qx = norms(x)
+        anisotropic = qx != 0
+        # keep x when m fixes it (w has entries in [0, l), so w = 0 iff its
+        # sum is 0) or when w = m x - x is anisotropic
+        passing = anisotropic & ((norms(w) != 0) | (w.sum(1) == 0))
+        if passing.any():
+            break
+        if first is None and anisotropic.any():
+            first = x[anisotropic.argmax()]
+    else:
+        # Every difference vector is isotropic, so im(m - 1) is totally
+        # isotropic and det m = 1; after one reflection the det is -1 and
         # this branch cannot recur.
-        first = tuple(x[anisotropic.tolist().index(True)].tolist())
-        return [first] + _factor(mat_mul(reflection_matrix(first, form), mat, ell), basis, form)
-    i = passing.index(True)
+        return [tuple(first.tolist())] + _factor(_reflect(m, first, g, ell), basis, g, ell)
+    i = passing.argmax()
+    xi = x[i]
     # x^perp within V: project away x from the basis vectors but one
-    scale = (b @ (g @ x[i]) % ell) * pow(int(qx[i]), -1, ell) % ell  # <b, x> / Q(x)
-    projected = (b - scale[:, None] * x[i]) % ell
-    k = next(j for j, c in enumerate(coeffs[i].tolist()) if c)
-    rest = [tuple(v) for j, v in enumerate(projected.tolist()) if j != k]
-    wi = tuple(w[i].tolist())
-    if not any(wi):  # mat fixes x
-        return _factor(mat, rest, form)
-    # r_w maps mat x to x, so r_w mat fixes x
-    return [wi] + _factor(mat_mul(reflection_matrix(wi, form), mat, ell), rest, form)
+    scale = (basis @ (g @ xi) % ell) * pow(int(qx[i]), -1, ell) % ell  # <b, x> / Q(x)
+    projected = (basis - scale[:, None] * xi) % ell
+    k = c[i].nonzero()[0][0]
+    rest = np.concatenate((projected[:k], projected[k + 1 :]))
+    wi = w[i]
+    if not wi.any():  # m fixes x
+        return _factor(m, rest, g, ell)
+    # r_w maps m x to x, so r_w m fixes x
+    return [tuple(wi.tolist())] + _factor(_reflect(m, wi, g, ell), rest, g, ell)
 
 
 def cartan_dieudonne(m: OrthMatrix) -> list[Vec]:
@@ -237,12 +258,20 @@ def cartan_dieudonne(m: OrthMatrix) -> list[Vec]:
     then needs at most 3.  Candidates x come from the grid {0..4}^dim: the
     polynomial Q(x) Q(m x - x) has degree at most 4 in each coordinate and
     l >= 11 > 4, so by the Combinatorial Nullstellensatz it vanishes on the
-    grid only if it vanishes identically.  Each step scores the whole grid
-    {0..4}^k (k = dim V) in one pass, on int64 when 16 l^3 < 2^63 and on
-    Python integers otherwise, and keeps the first passing candidate in
-    itertools.product order, so the vectors do not depend on the dtype.
+    grid only if it vanishes identically.  Each step scores the grid
+    {0..4}^k (k = dim V) CHUNK points per numpy pass, in itertools.product
+    order, and stops at the first chunk that holds a passing candidate; it
+    keeps the first one, so the vectors do not depend on CHUNK.  The matrix,
+    basis and Gram matrix are converted once, to int64 when 16 l^3 < 2^63
+    and to Python integers (object dtype) otherwise, so the vectors do not
+    depend on the dtype either; each reflection is applied as a rank-one
+    update of the array.
     """
-    return _factor(m.mat, list(identity()), m.form)
+    ell = m.form.ell
+    # every entry in _factor stays under 16 l^3 before its reduction
+    dtype = np.int64 if 16 * ell**3 < 2**63 else object
+    arrays = (np.array(a, dtype=dtype) for a in (m.mat, identity(), m.form.gram))
+    return _factor(*arrays, ell)
 
 
 def spinor_norm(m: OrthMatrix) -> SquareClass:

@@ -209,6 +209,15 @@ def test_certify_validation():
         certify(11, witnesses=(11,))
     with pytest.raises(ValueError):
         certify(11, witnesses=(4,))
+    # the first failing check wins, per witness in order
+    with pytest.raises(ValueError, match="l = 12 is not prime"):
+        certify(12, witnesses=(4,))
+    with pytest.raises(ValueError, match="witness 13 coincides with l"):
+        certify(13, witnesses=(13, 4))
+    with pytest.raises(ValueError, match="witness 4 is not an odd prime"):
+        certify(13, witnesses=(4, 13))
+    with pytest.raises(ValueError, match="witness 2 is not an odd prime"):
+        certify(13, witnesses=(3, 2))
 
 
 def test_certify_range_small():
@@ -352,6 +361,26 @@ def test_round_trip_derives_each_witness_once(monkeypatch):
     for cert in report:
         assert verify_certificate(json.loads(json.dumps(certificate_to_dict(cert))))
     assert sorted(calls) == [3, 5]
+
+
+def test_round_trip_checks_witness_primality_once(monkeypatch):
+    # per certificate only l is tested for primality; the witness tuple is
+    # tested once, for certifying and checking alike
+    calls = []
+    is_prime = certify_module.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(certify_module, "is_prime", counting)
+    certify_module._non_odd_primes.cache_clear()
+    ells = primes_in_range(11, 1300)[:200]
+    report = certify_range(ells[0], ells[-1])
+    for cert in report:
+        assert verify_certificate(json.loads(json.dumps(certificate_to_dict(cert))))
+    assert sorted(n for n in calls if n in (3, 5)) == [3, 5]
+    assert sorted(n for n in calls if n not in (3, 5)) == sorted(ells * 2)
 
 
 def test_certificates_deterministic():

@@ -1,11 +1,15 @@
 """Reflections, Cartan-Dieudonne factorization, spinor norms, Omega."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import rand_anisotropic, rand_orthogonal, rand_sl2
+from psl2cert import ortho
 from psl2cert.ortho import (
+    GRID,
     GramForm,
     OrthMatrix,
     SquareClass,
@@ -17,6 +21,7 @@ from psl2cert.ortho import (
     mat_mul,
     mat_neg,
     mat_reduce,
+    mat_vec,
     reciprocal_charpoly,
     reflection,
     reflection_matrix,
@@ -35,6 +40,10 @@ def recompose(vectors, form):
     for v in vectors:
         m = mat_mul(m, reflection_matrix(v, form), form.ell)
     return m
+
+
+def diagonal_form(ell, diagonal):
+    return GramForm(ell, tuple(tuple(d if i == j else 0 for j in range(4)) for i, d in enumerate(diagonal)))
 
 
 @pytest.mark.parametrize("ell", (11, 13, 1000003))
@@ -98,10 +107,7 @@ def test_cartan_dieudonne_identity_and_single_reflection():
 
 def test_cartan_dieudonne_random_products():
     # the diagonal forms have anisotropic basis vectors, unlike tensor_form
-    forms = [tensor_form(ell) for ell in LS] + [
-        GramForm(13, tuple(tuple(d if i == j else 0 for j in range(4)) for i, d in enumerate(diagonal)))
-        for diagonal in ((1, 1, 1, 2), (1, 1, 1, 1))
-    ]
+    forms = [tensor_form(ell) for ell in LS] + [diagonal_form(13, (1, 1, 1, 2)), diagonal_form(13, (1, 1, 1, 1))]
     for index, form in enumerate(forms):
         rng = random.Random(form.ell + 100 * index)
         for _ in range(40):
@@ -157,6 +163,85 @@ def test_cartan_dieudonne_matches_sequential_scan(ell):
         assert vecs == cartan_dieudonne_sequential(m)
         assert all(type(x) is int for v in vecs for x in v)
         assert recompose(vecs, form) == m.mat
+
+
+def first_pass_index(m):
+    """Grid index of the candidate the top-level step keeps, or None when
+    the whole grid falls through."""
+    form, ell = m.form, m.form.ell
+    for index, x in enumerate(itertools.product(range(GRID), repeat=4)):
+        if form.norm(x) == 0:
+            continue
+        w = tuple((y - z) % ell for y, z in zip(mat_vec(m.mat, x, ell), x))
+        if not any(w) or form.norm(w):
+            return index
+    return None
+
+
+@pytest.mark.parametrize("chunk", (1, 7, 625))
+def test_cartan_dieudonne_matches_sequential_scan_across_chunks(monkeypatch, chunk):
+    # 625 is the whole grid at k = 4; 1 and 7 put chunk boundaries between
+    # the candidates of every step
+    monkeypatch.setattr(ortho, "CHUNK", chunk)
+    for ell in (11, 31, 2**61 - 1):
+        rng = random.Random(ell + chunk)
+        forms = (tensor_form(ell), diagonal_form(ell, (1, 1, 1, 2)))
+        for form in forms:
+            matrices = [rand_orthogonal(form, rng, rng.randint(0, 5)) for _ in range(8 if ell < 100 else 3)]
+            for m in matrices:
+                assert cartan_dieudonne(m) == cartan_dieudonne_sequential(m)
+        for _ in range(3 if ell < 100 else 1):
+            m = rand_unipotent(ell, rng)
+            vecs = cartan_dieudonne(m)
+            assert vecs == cartan_dieudonne_sequential(m)
+            # a fall-through: the first vector is the first anisotropic grid
+            # point (index 30 on the tensor form), past the first chunk
+            # unless chunk = 625
+            assert first_pass_index(m) is None
+            assert vecs[0] == next(x for x in itertools.product(range(GRID), repeat=4) if m.form.norm(x))
+
+
+class Unread:
+    """A grid entry that fails the test when it is multiplied."""
+
+    def __mul__(self, other):
+        raise AssertionError("a grid row past the first chunk was scored")
+
+    __rmul__ = __mul__
+
+
+def test_scan_stops_at_the_first_passing_chunk(monkeypatch):
+    # a count, not a timing: with the top-level pass at grid index 30, no
+    # step scores a grid row past the first chunk
+    form = tensor_form(11)
+    rng = random.Random(30)
+    m = next(m for m in (rand_orthogonal(form, rng, 4) for _ in range(200)) if first_pass_index(m) == 30)
+    grid = ortho._grid
+
+    def guarded(k):
+        g = grid(k).astype(object)
+        g[ortho.CHUNK :] = Unread()
+        return g
+
+    with pytest.raises(AssertionError):
+        guarded(4) @ np.eye(4, dtype=np.int64)
+    monkeypatch.setattr(ortho, "_grid", guarded)
+    vecs = cartan_dieudonne(m)
+    assert vecs == cartan_dieudonne_sequential(m)
+    assert recompose(vecs, form) == m.mat
+
+
+@pytest.mark.parametrize("ell", (13, 2**61 - 1))
+def test_reflection_rank_one_update_matches_matrix_product(ell):
+    form = tensor_form(ell)
+    dtype = np.int64 if 16 * ell**3 < 2**63 else object
+    g = np.array(form.gram, dtype=dtype)
+    rng = random.Random(ell)
+    for _ in range(30):
+        v = rand_anisotropic(form, rng)
+        m = mat_reduce([[rng.randrange(ell) for _ in range(4)] for _ in range(4)], ell)
+        updated = ortho._reflect(np.array(m, dtype=dtype), np.array(v, dtype=dtype), g, ell)
+        assert tuple(map(tuple, updated.tolist())) == mat_mul(reflection_matrix(v, form), m, ell)
 
 
 def test_spinor_norm_basics():

@@ -4,6 +4,7 @@ and the block-diagonal group with its Gaussian model."""
 import random
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 from conftest import rand_sl2
@@ -26,6 +27,7 @@ from psl2cert.tensor import (
     M2_IDENTITY,
     NotDecomposableError,
     NotInGroupError,
+    _closure_keys,
     block_diagonal_pair,
     complex_structure,
     group_order_bfs,
@@ -289,6 +291,24 @@ def test_group_order_object_dtype_at_large_ell():
     gens = [block_diagonal_pair(i, ell), block_diagonal_pair(j, ell), complex_structure(ell)]
     # gamma is central with gamma^2 = i^2 = -I: a central product Q8 o C4
     assert group_order_bfs(gens, ell) == group_order_tuple_bfs(gens, ell) == 16
+
+
+@pytest.mark.parametrize("ell", (11, 13, 31, 233, 239, 2**61 - 1))
+def test_closure_keys_match_object_dot(ell):
+    # l^8 < 2^63 exactly for l <= 233: at n = 4 the int64 halves on one side
+    # of the bound, one object dot on the other; n = 3 splits 9 digits 4 + 5
+    rng = random.Random(ell)
+    for n in (3, 4):
+        dtype = np.int64 if n * (ell - 1) ** 2 < 2**63 else object
+        rows = [[[rng.randrange(ell) for _ in range(n)] for _ in range(n)] for _ in range(50)]
+        rows += [[[ell - 1] * n] * n, [[0] * n] * n]
+        mats = np.array(rows, dtype=dtype)
+        radix = np.array([ell**k for k in reversed(range(n * n))], dtype=object)
+        expected = (mats.reshape(len(mats), -1).astype(object) @ radix).tolist()
+        keys = _closure_keys(mats, ell)
+        assert keys == expected
+        assert all(type(key) is int for key in keys)
+        assert keys[-2] == ell ** (n * n) - 1
 
 
 @pytest.mark.parametrize("closure", (group_order_bfs, group_order_tuple_bfs))
