@@ -19,7 +19,7 @@ from .lpoly import (
     shape_classify,
     trace_sum,
 )
-from .qpoly import QPolynomial, eval_exact, nth_power_poly, power_sums, reduce_mod
+from .qpoly import QPolynomial, nth_power_poly, power_sums, reduce_mod
 
 __all__ = [
     "Certificate",
@@ -33,7 +33,6 @@ __all__ = [
     "certify_range",
     "enum_irreducibles",
     "euler_product_truncated",
-    "eval_exact",
     "fiber_trace",
     "fq_ctx",
     "lpolynomial",

@@ -97,34 +97,21 @@ def _read_json(path: str):
             raise ValueError("JSON nested too deeply") from None
 
 
-class _ListItemWriter:
-    """Text sink for one item of an indented JSON list: one more space after
-    each newline.  `json.dump(item, sink, indent=1)` then writes the bytes
-    the item has inside `json.dump([...], indent=1)`, because a JSON string
-    holds no raw newline."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def write(self, text: str) -> None:
-        self.fh.write(text.replace("\n", "\n "))
-
-
 def _write_json(path: str, payload, stream: bool = False) -> None:
     """Write payload as indented JSON to a temp file beside path, then
     rename it over path: a failed write leaves the old file as it was.
 
     With stream, payload is an iterable written as a JSON list one item at a
-    time, so no more than one item is held in memory; the bytes are those
-    of dumping the whole list."""
+    time, so no more than one item is held in memory.  Each item is dumped
+    on its own with one more space after every newline; a JSON string holds
+    no raw newline, so the bytes are those of dumping the whole list."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             if stream:
-                sink, sep = _ListItemWriter(fh), "[\n "
+                sep = "[\n "
                 for item in payload:
-                    fh.write(sep)
-                    json.dump(item, sink, sort_keys=True, indent=1)
+                    fh.write(sep + json.dumps(item, sort_keys=True, indent=1).replace("\n", "\n "))
                     sep = ",\n "
                 fh.write("[]" if sep == "[\n " else "\n]")
             else:

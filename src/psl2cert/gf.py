@@ -157,9 +157,6 @@ class FieldCtx:
         coeffs += (0,) * (self.k - len(coeffs))
         return FqElem(self, coeffs)
 
-    def zero(self) -> "FqElem":
-        return self.elem(0)
-
     def one(self) -> "FqElem":
         return self.elem(1)
 

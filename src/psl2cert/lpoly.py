@@ -108,9 +108,10 @@ def fiber_traces(p: int, k: int) -> np.ndarray:
     """Traces at every t0 in F_{p^k} by the FFT kernel, indexed by encoding;
     0 at the singular parameters 0, 1, -1."""
     ctx = fq_ctx(p, k)
+    chi = ctx.chi_table()  # first: it refuses a field too large for q-sized arrays
     t0 = ctx.coeff_arrays(np.arange(ctx.q))
     t2 = ctx.mul_arrays(t0, t0)
-    chi_c = ctx.chi_table()[ctx.encode_arrays((ctx.mul_arrays(t2, t0) - t0) % p)]
+    chi_c = chi[ctx.encode_arrays((ctx.mul_arrays(t2, t0) - t0) % p)]
     square = ctx.encode_arrays(t2)
     del t0, t2  # not needed by the FFT and the recounts below; frees their memory
     traces = -chi_c * _correlation(ctx)[square]  # chi_c is 0 exactly at 0, 1, -1

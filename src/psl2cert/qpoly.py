@@ -187,10 +187,6 @@ def nth_power_poly(poly: QPolynomial, n: int) -> QPolynomial:
     return QPolynomial(series_exp([0] + [-s[n * k - 1] / k for k in range(1, 5)], 4))
 
 
-def eval_exact(poly: QPolynomial, x) -> Fraction:
-    return poly(Q(x))
-
-
 # ---------------------------------------------------------------------------
 # text codec: a rational as "num/den" in lowest terms
 

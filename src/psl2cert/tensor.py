@@ -46,7 +46,10 @@ class NotInGroupError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """Breadth-first closure grew past the requested cap."""
+    """Breadth-first closure grew past CLOSURE_CAP."""
+
+
+CLOSURE_CAP = 10_000_000  # the most elements group_order_bfs collects before it gives up
 
 
 def sl2_generators(ell: int) -> list[Mat2]:
@@ -239,61 +242,44 @@ def to_gaussian(mat: Mat, ell: int) -> GaussianMat:
     )
 
 
-def _closure_keys(mats: np.ndarray, ell: int) -> list[int]:
-    """Each matrix of mats, an (N, n, n) array of residues mod l, as one
-    Python integer: its entries, row-major, read as base-l digits.
-
-    The n^2 digits split into a high and a low part of at most
-    ceil(n^2 / 2) digits each.  When l^ceil(n^2 / 2) < 2^63 each part is an
-    int64 dot, and the two combine as high * l^ceil(n^2 / 2) + low (l <= 233
-    at n = 4); otherwise all n^2 digits go through one dot on Python
-    integers.
-    """
-    flat = mats.reshape(len(mats), -1)
-    digits = flat.shape[1]
-    half = -(-digits // 2)  # the low part's digits; the high part has no more
-    if ell**half < 2**63:
-        radix = np.array([ell**k for k in reversed(range(half))], dtype=np.int64)
-        high = flat[:, : digits - half] @ radix[2 * half - digits :]
-        low = flat[:, digits - half :] @ radix
-        shift = ell**half
-        return [h * shift + x for h, x in zip(high.tolist(), low.tolist())]
-    radix = np.array([ell**k for k in reversed(range(digits))], dtype=object)
-    return (flat.astype(object) @ radix).tolist()
-
-
-def group_order_bfs(generators, ell: int, cap: int = 10_000_000) -> int:
+def group_order_bfs(generators, ell: int) -> int:
     """Exact order of the matrix group generated over F_l, by breadth-first
     closure one level at a time.
 
     Each level is one batched product of the frontier, an (N, n, n) array,
     with every generator.  Products are int64 when n (l - 1)^2 < 2^63 and
-    Python integers (object dtype) otherwise.  An element is keyed by its
-    entries read as the base-l digits of one Python integer, row-major;
-    `_closure_keys` computes the keys with int64 dots when
-    l^ceil(n^2 / 2) < 2^63 and on Python integers otherwise.  Raises
-    CapExceededError when the order exceeds cap.
+    Python integers (object dtype) otherwise.  An element is keyed by the
+    bytes of its reduced entries in the smallest unsigned type that holds
+    l - 1 (uint8 up to l = 256, uint16 up to 65536, ...), or by the tuple of
+    its entries when l - 1 >= 2^64.  Raises CapExceededError when the order
+    exceeds CLOSURE_CAP.
     """
-    if cap > 10_000_000:
-        raise ValueError("cap above 10^7 refused")
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     gens = [mat_reduce(g, ell) for g in generators]
     n = len(gens[0])
     dtype = np.int64 if n * (ell - 1) ** 2 < 2**63 else object
+    key_type = np.min_scalar_type(ell - 1)  # object past uint64
+
+    def keys(mats: np.ndarray) -> list:
+        flat = mats.reshape(len(mats), n * n)
+        if key_type == object:
+            return list(map(tuple, flat.tolist()))
+        return flat.astype(key_type).view((np.void, key_type.itemsize * n * n)).ravel().tolist()
+
     gens_arr = np.array(gens, dtype=dtype)
     level = np.array([identity(n)], dtype=dtype)
-    seen = set(_closure_keys(level, ell))
+    seen = set(keys(level))
     while len(level):
         # every product of the level with a generator, then only the new ones
         level = (level[:, None] @ gens_arr[None]).reshape(-1, n, n)
         level %= ell
         fresh = []
-        for i, key in enumerate(_closure_keys(level, ell)):
+        for i, key in enumerate(keys(level)):
             if key not in seen:
                 seen.add(key)
                 fresh.append(i)
-        if len(seen) > cap:
-            raise CapExceededError(f"group closure exceeded cap {cap}")
+        if len(seen) > CLOSURE_CAP:
+            raise CapExceededError(f"group closure exceeded cap {CLOSURE_CAP}")
         level = level[fresh]
     return len(seen)

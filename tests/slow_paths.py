@@ -28,13 +28,14 @@ from psl2cert.ortho import (
     reflection_matrix,
 )
 from psl2cert.qpoly import QPolynomial, reduce_mod
-from psl2cert.tensor import CapExceededError
+from psl2cert import tensor
 from psl2cert.weierstrass import RationalFunction, WeierstrassModel, invariants, valuation
 
 
-def group_order_tuple_bfs(generators, ell: int, cap: int = 10_000_000) -> int:
+def group_order_tuple_bfs(generators, ell: int) -> int:
     """Order of the group generated over F_l, one product at a time, with
-    each element keyed by its entries read as base-l digits."""
+    each element keyed by its entries read as base-l digits; the same
+    `tensor.CLOSURE_CAP` as the batched closure."""
 
     def pack(m) -> int:
         key = 0
@@ -55,8 +56,8 @@ def group_order_tuple_bfs(generators, ell: int, cap: int = 10_000_000) -> int:
                 key = pack(prod)
                 if key not in seen:
                     seen.add(key)
-                    if len(seen) > cap:
-                        raise CapExceededError(f"group closure exceeded cap {cap}")
+                    if len(seen) > tensor.CLOSURE_CAP:
+                        raise tensor.CapExceededError(f"group closure exceeded cap {tensor.CLOSURE_CAP}")
                     nxt.append(prod)
         frontier = nxt
     return len(seen)

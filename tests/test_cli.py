@@ -416,6 +416,8 @@ BAD_COMMAND_LINES = [
     (["certify", "--ell-range", "11"], EXIT_USAGE, ""),
     (["certify", "--ell-range", "20:11"], EXIT_RANGE, ""),
     (["lpoly", "--p", "1031"], EXIT_RANGE, ""),
+    (["lpoly", "--p", "100003"], EXIT_RANGE, ""),
+    (["certify", "--ell", "11", "--witnesses", "3,100003"], EXIT_RANGE, ""),
     (["invariants"], EXIT_WEIL, WRONG_DELTA),
 ]
 

@@ -4,10 +4,10 @@ and the block-diagonal group with its Gaussian model."""
 import random
 from fractions import Fraction as Q
 
-import numpy as np
 import pytest
 
 from conftest import rand_sl2
+from psl2cert import tensor
 from psl2cert.lpoly import lpolynomial
 from psl2cert.modarith import legendre, sqrt_mod
 from psl2cert.ortho import (
@@ -27,7 +27,6 @@ from psl2cert.tensor import (
     M2_IDENTITY,
     NotDecomposableError,
     NotInGroupError,
-    _closure_keys,
     block_diagonal_pair,
     complex_structure,
     group_order_bfs,
@@ -257,11 +256,12 @@ def test_group_orders_block_diagonal_extension():
         assert g_order // 4 == sl2_order // 2  # |PSL2(F_l)|
 
 
-def test_group_order_caps():
+def test_group_order_caps(monkeypatch):
+    monkeypatch.setattr(tensor, "CLOSURE_CAP", 1320)  # |SL2(F_11)|
+    assert group_order_bfs(sl2_generators(11), 11) == 1320
+    monkeypatch.setattr(tensor, "CLOSURE_CAP", 1319)
     with pytest.raises(CapExceededError):
-        group_order_bfs(sl2_generators(11), 11, cap=50)
-    with pytest.raises(ValueError):
-        group_order_bfs(sl2_generators(5), 5, cap=10**8)
+        group_order_bfs(sl2_generators(11), 11)
 
 
 def closure_generators(ell):
@@ -279,12 +279,14 @@ def test_group_orders_match_tuple_bfs(ell):
         assert group_order_bfs(gens, ell) == group_order_tuple_bfs(gens, ell) == expected[name], name
 
 
-def test_group_order_object_dtype_at_large_ell():
-    # n (l - 1)^2 >= 2^63 for n = 2, 4, so the closure multiplies Python
-    # integers; the quaternion units i = S and j (with a^2 + b^2 = -1)
+@pytest.mark.parametrize("ell", (13, 257, 65537, 2**31 - 1, 2**61 - 1, 2**64 + 13))
+def test_group_order_quaternion_closures(ell):
+    # keys are uint8 at 13, uint16 at 257, uint32 at 65537 and 2^31 - 1,
+    # uint64 at 2^61 - 1 and tuples past 2^64; products are int64 while
+    # n (l - 1)^2 < 2^63 (up to 2^31 - 1 at n = 2, 65537 at n = 4) and Python
+    # integers beyond.  The quaternion units i = S and j (with a^2 + b^2 = -1)
     # generate Q8 in SL2
-    ell = 2**61 - 1
-    a = next(a for a in range(1, 100) if legendre(-1 - a * a, ell) == 1)
+    a = next(a for a in range(1, ell) if legendre(-1 - a * a, ell) == 1)
     b = sqrt_mod((-1 - a * a) % ell, ell)
     i, j = ((0, ell - 1), (1, 0)), ((a, b), (b, -a % ell))
     assert group_order_bfs([i, j], ell) == group_order_tuple_bfs([i, j], ell) == 8
@@ -293,29 +295,14 @@ def test_group_order_object_dtype_at_large_ell():
     assert group_order_bfs(gens, ell) == group_order_tuple_bfs(gens, ell) == 16
 
 
-@pytest.mark.parametrize("ell", (11, 13, 31, 233, 239, 2**61 - 1))
-def test_closure_keys_match_object_dot(ell):
-    # l^8 < 2^63 exactly for l <= 233: at n = 4 the int64 halves on one side
-    # of the bound, one object dot on the other; n = 3 splits 9 digits 4 + 5
-    rng = random.Random(ell)
-    for n in (3, 4):
-        dtype = np.int64 if n * (ell - 1) ** 2 < 2**63 else object
-        rows = [[[rng.randrange(ell) for _ in range(n)] for _ in range(n)] for _ in range(50)]
-        rows += [[[ell - 1] * n] * n, [[0] * n] * n]
-        mats = np.array(rows, dtype=dtype)
-        radix = np.array([ell**k for k in reversed(range(n * n))], dtype=object)
-        expected = (mats.reshape(len(mats), -1).astype(object) @ radix).tolist()
-        keys = _closure_keys(mats, ell)
-        assert keys == expected
-        assert all(type(key) is int for key in keys)
-        assert keys[-2] == ell ** (n * n) - 1
-
-
 @pytest.mark.parametrize("closure", (group_order_bfs, group_order_tuple_bfs))
-def test_group_order_cap_boundary(closure):
+def test_group_order_cap_boundary(closure, monkeypatch):
     for ell in (5, 7):
         for gens in closure_generators(ell).values():
             order = group_order_tuple_bfs(gens, ell)
-            assert closure(gens, ell, cap=order) == order
-            with pytest.raises(CapExceededError):
-                closure(gens, ell, cap=order - 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(tensor, "CLOSURE_CAP", order)
+                assert closure(gens, ell) == order
+                patch.setattr(tensor, "CLOSURE_CAP", order - 1)
+                with pytest.raises(CapExceededError):
+                    closure(gens, ell)
