@@ -40,9 +40,8 @@ from functools import cached_property, lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from .gf import OutOfRangeError
 from .lpoly import LPolynomial, SquareShape, lpolynomial, shape_classify
-from .modarith import is_prime, primes_in_range
+from .modarith import OutOfRangeError, is_prime, primes_in_range
 from .qpoly import DenominatorDivisibleError, Q, QPolynomial, frac_str, parse_frac
 
 # Unused here; kept because perfbench's traced worker wraps these two names.

@@ -6,13 +6,13 @@ timing goes to stderr.  Exit codes: 0 success, 1 usage error, bad input or
 cache file, 2 shape-law violation, 3 any other arithmetic check failure
 (Weil/Hasse bound, trace kernel, a certificate that `verify` rejects, a
 `group-check` identity that prints FAIL), 4 out-of-range request
-(including a field beyond the 2^20-entry character table and an
-`--ell-range` above 10^6), 5 some l given to `certify` is Inconclusive or
-errored.  A command returns 0, 3 or 5 for its own verdict and raises for
-anything else; `main` is the only mapping from an exception to an exit code,
-through EXIT_CODES, and prints one `error:` line.  The only handler inside a
-command is the one for `lpoly --cache` file errors.  `--json` and `--cache`
-files are replaced atomically, never left half written.
+(a field beyond the 2^20-entry character table, an `--ell-range` above
+10^6, an integer too large for exact primality), 5 some l given to
+`certify` is Inconclusive or errored.  A command returns 0, 3 or 5 for its
+own verdict and raises for anything else; `main` is the only mapping from
+an exception to an exit code, through EXIT_CODES, and prints one `error:`
+line.  The only handler inside a command is the one for `lpoly --cache`
+file errors.  `--json` and `--cache` files are replaced atomically.
 """
 
 from __future__ import annotations

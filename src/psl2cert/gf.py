@@ -5,7 +5,8 @@ modulus of degree k over F_p.  Elements are residues modulo that modulus,
 stored as coefficient tuples (constant coefficient first).  Each element
 also has an integer encoding sum(c_i * p^i), which the bulk point-counting
 kernel uses to index precomputed tables.  The quadratic-character table is
--1 except at 0 (0) and at the encodings of all squares x*x (+1).
+-1 except at 0 (0) and at the encodings of the squares x*x (+1), which
+`squares` computes once per table.
 
 Contexts are immutable and safe to share; `fq_ctx` returns a cached
 deterministic context whose modulus is the lexicographically smallest
@@ -19,28 +20,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modarith import is_prime
+from .modarith import OutOfRangeError, is_prime
+from .qpoly import power, trim
 
 CHI_TABLE_MAX_Q = 1 << 20  # full character table only below this size
-
-
-class OutOfRangeError(ValueError):
-    """A request beyond a supported size: a field larger than the character
-    table, Full mode above its prime guard, or l below the certifiable range."""
-
 
 Poly = tuple[int, ...]  # coefficients over F_p, constant term first
 
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over F_p (dense tuples, constant coefficient first)
-
-
-def poly_trim(c: list[int]) -> Poly:
-    n = len(c)
-    while n and c[n - 1] == 0:
-        n -= 1
-    return tuple(c[:n])
 
 
 def poly_mul(a: Poly, b: Poly, p: int) -> Poly:
@@ -51,7 +40,7 @@ def poly_mul(a: Poly, b: Poly, p: int) -> Poly:
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    return poly_trim(out)
+    return trim(out)
 
 
 def poly_mod(a: Poly, m: Poly, p: int) -> Poly:
@@ -77,6 +66,14 @@ def poly_eval(a: Poly, x: int, p: int) -> int:
     return acc
 
 
+def _coprime(a: Poly, b: Poly, p: int) -> bool:
+    """Whether gcd(a, b) = 1 over F_p (Euclid, each divisor made monic)."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        a, b = b, poly_mod(a, tuple(c * inv % p for c in b), p)
+    return len(a) == 1
+
+
 def _has_root(m: Poly, p: int) -> bool:
     return any(poly_eval(m, c, p) == 0 for c in range(p))
 
@@ -92,22 +89,18 @@ def _monic_polys(p: int, d: int):
 
 
 def is_irreducible(m: Poly, p: int) -> bool:
-    """Exhaustive test for monic m of degree <= 4: root check plus, in
-    degree 4, trial division by every monic quadratic (a rootless m has no
-    reducible quadratic factor)."""
+    """Exact test for monic m of degree <= 4: a root check in degrees 2 and 3
+    (reducible only through a linear factor), Rabin's test in degree 4:
+    x^(p^2) - x is the product of the monic irreducibles of degree 1 and 2,
+    so m is irreducible iff gcd(m, x^(p^2) - x) = 1, in O(log p) products."""
     d = len(m) - 1
     if d < 1 or d > 4:
         raise ValueError("degree out of range 1..4")
-    if d == 1:
-        return True
-    if _has_root(m, p):
-        return False
     if d < 4:
-        return True  # degree 2/3 reducible only via a linear factor
-    for q2 in _monic_polys(p, 2):
-        if poly_mod(m, q2, p) == ():
-            return False
-    return True
+        return d == 1 or not _has_root(m, p)
+    frob = list(power((0, 1), p * p, (1,), lambda a, b: poly_mod(poly_mul(a, b, p), m, p))) + [0, 0]
+    frob[1] -= 1
+    return _coprime(m, trim([c % p for c in frob]), p)
 
 
 def enum_irreducibles(p: int, d: int) -> list[Poly]:
@@ -123,7 +116,7 @@ def enum_irreducibles(p: int, d: int) -> list[Poly]:
 class FieldCtx:
     """Context for F_{p^k}: prime, degree, monic irreducible modulus."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_chi")
+    __slots__ = ("p", "k", "q", "modulus", "_chi", "_squares")
 
     def __init__(self, p: int, k: int, modulus: Poly):
         if not is_prime(p) or p == 2:
@@ -139,6 +132,7 @@ class FieldCtx:
         self.q = p**k
         self.modulus = tuple(c % p for c in modulus)
         self._chi = None
+        self._squares = None
 
     # -- element plumbing ---------------------------------------------------
 
@@ -203,14 +197,7 @@ class FieldCtx:
         return r + (0,) * (self.k - len(r))
 
     def _pow(self, a: Poly, n: int) -> Poly:
-        result = (1,) + (0,) * (self.k - 1)
-        base = a
-        while n:
-            if n & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
-            n >>= 1
-        return result
+        return power(a, n, (1,) + (0,) * (self.k - 1), self._mul)
 
     def mul_arrays(self, a, b):
         """Column-wise products of (k, n) coefficient arrays: poly_mul, then
@@ -228,6 +215,21 @@ class FieldCtx:
 
     # -- quadratic character --------------------------------------------------
 
+    def squares(self):
+        """Encodings of x*x for every x, indexed by encoding, for q <=
+        CHI_TABLE_MAX_Q.  Held for chi_table while it is unbuilt; it builds
+        from them and drops them, so the field is squared once per table."""
+        if self.q > CHI_TABLE_MAX_Q:
+            raise OutOfRangeError(
+                f"field of size {self.p}^{self.k} = {self.q} exceeds the "
+                f"{CHI_TABLE_MAX_Q}-entry character table"
+            )
+        x = np.indices((self.p,) * self.k, dtype=np.int32).reshape(self.k, -1)[::-1]  # coeff_arrays of 0..q-1
+        squares = self.encode_arrays(self.mul_arrays(x, x))
+        if self._chi is None:
+            self._squares = squares
+        return squares
+
     def chi_table(self):
         """numpy int8 array of chi over the whole field, indexed by encoding.
 
@@ -235,16 +237,11 @@ class FieldCtx:
         available when q <= CHI_TABLE_MAX_Q.
         """
         if self._chi is None:
-            if self.q > CHI_TABLE_MAX_Q:
-                raise OutOfRangeError(
-                    f"field of size {self.p}^{self.k} = {self.q} exceeds the "
-                    f"{CHI_TABLE_MAX_Q}-entry character table"
-                )
-            x = self.coeff_arrays(np.arange(self.q))
+            squares = self.squares() if self._squares is None else self._squares
             chi = np.full(self.q, -1, dtype=np.int8)
-            chi[self.encode_arrays(self.mul_arrays(x, x))] = 1
+            chi[squares] = 1
             chi[0] = 0
-            self._chi = chi
+            self._chi, self._squares = chi, None
         return self._chi
 
 
@@ -328,14 +325,7 @@ def fq_ctx(p: int, k: int) -> FieldCtx:
         raise ValueError(f"p must be an odd prime, got {p}")
     if not 1 <= k <= 4:
         raise ValueError(f"extension degree must be 1..4, got {k}")
-    if k == 1:
-        modulus: Poly = (0, 1)  # the polynomial t
-    else:
-        for m in _monic_polys(p, k):
-            if is_irreducible(m, p):
-                modulus = m
-                break
-    return FieldCtx(p, k, modulus)
+    return FieldCtx(p, k, next(m for m in _monic_polys(p, k) if is_irreducible(m, p)))  # t when k = 1
 
 
 def quad_char(ctx: FieldCtx, v) -> int:

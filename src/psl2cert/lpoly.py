@@ -4,10 +4,12 @@ assembly of the degree-4 L-polynomial of the family over F_p.
 The trace of Frobenius at a good parameter t0 in F_q is a character sum
     a(t0) = -chi(t0^3 - t0) * S(t0^2),  S(c) = sum_x chi(x) chi(x+1) chi(x+c).
 S is a correlation over the additive group (Z/p)^k, so one float64 FFT gives
-every S(c) and a degree-k trace sum costs O(q log q).  Each call proves its
-rounding: every S lies within 1/4 of an integer (|S| <= q <= 2^20), every
-fiber meets the Hasse bound, and three fibers are recounted directly; a
-failure raises, with no fallback.  The L-series is recovered from A_1, A_2
+every S(c) and a degree-k trace sum costs O(q log q).  F_q is squared once
+per call (for the S(t0^2) index and the character table); chi(t0^3 - t0)
+and the recounts are rolls of chi on the (p,)*k digit grid.  Each call
+proves its rounding: every S lies within 1/4 of an integer (|S| <= q <= 2^20),
+every fiber meets the Hasse bound, and three fibers are recounted directly;
+a failure raises, with no fallback.  The L-series is recovered from A_1, A_2
 through exp(sum A_k T^k / k); the functional equation fills in the T^3 and
 T^4 coefficients, and a "full direct" mode, up to FULL_DIRECT_MAX_P, recounts
 over the degree-3 and degree-4 extensions to confirm them independently.
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import FieldCtx, FqElem, OutOfRangeError, enum_irreducibles, fq_ctx, quad_char
+from .gf import FieldCtx, OutOfRangeError, enum_irreducibles, fq_ctx, quad_char
 from .modarith import is_prime
 from .qpoly import (
     Q,
@@ -57,22 +59,26 @@ class ShapeViolation(ArithmeticError):
     """An L-polynomial does not match the shape law for its residue class."""
 
 
-def _fiber_trace_direct(ctx: FieldCtx, enc: int) -> int:
-    """Trace at one encoded parameter by a direct sum over x; the oracle the
-    FFT kernel is checked against."""
+def _chi_grids(ctx: FieldCtx):
+    """(grid, pair, chi_c): chi on the (p,)*k digit grid, chi(x) chi(x+1) on
+    it, and chi(t^3 - t) = chi(t - 1) chi(t) chi(t + 1) indexed by encoding.
+    An encoding is the C-order index of its digit vector (t^0 digit last),
+    so chi(x + v) for every x is the grid rolled back by v's digits."""
+    grid = ctx.chi_table().reshape((ctx.p,) * ctx.k)
+    pair = grid * np.roll(grid, -1, axis=-1)
+    return grid, pair, (pair * np.roll(grid, 1, axis=-1)).ravel()
+
+
+def _fiber_trace_direct(ctx: FieldCtx, enc: int, grid, pair) -> int:
+    """Trace at one encoded parameter by a direct sum over x of
+    chi(x) chi(x+1) chi(x+t0^2) on the grid; the check on the FFT kernel."""
     t0 = ctx.decode(enc)
     c2 = t0 * t0
     c = c2 * t0 - t0
     if c.is_zero():
         raise ValueError(f"t0 = {t0!r} is a singular fiber")
-    chi = ctx.chi_table()
-    x = ctx.coeff_arrays(np.arange(ctx.q))
-
-    def chi_shifted(v: FqElem):  # chi(x + v) for every x
-        return chi[ctx.encode_arrays((x + np.array(v.coeffs, dtype=x.dtype)[:, None]) % ctx.p)]
-
-    s = int((chi * chi_shifted(ctx.one()).astype(np.int64) * chi_shifted(c2)).sum())
-    a = -quad_char(ctx, c) * s
+    shifted = np.roll(grid, [-d for d in reversed(c2.coeffs)], axis=tuple(range(ctx.k)))
+    a = -quad_char(ctx, c) * int((pair * shifted).sum())
     if a * a > 4 * ctx.q:
         raise HasseBoundError(f"|a|={abs(a)} exceeds 2*sqrt({ctx.q}) at t0={t0!r}")
     return a
@@ -85,22 +91,20 @@ def fiber_trace(p: int, k: int, t0) -> int:
     coefficient sequence.
     """
     ctx = fq_ctx(p, k)
-    return _fiber_trace_direct(ctx, ctx.encode(ctx.elem(t0)))
+    return _fiber_trace_direct(ctx, ctx.encode(ctx.elem(t0)), *_chi_grids(ctx)[:2])
 
 
-def _correlation(ctx: FieldCtx) -> np.ndarray:
-    """S(c) for every c, indexed by encoding, rounded to exact integers."""
-    # An encoding is the C-order index of its digit vector on the (p,)*k grid
-    # (t^0 digit last), so field addition is grid addition mod p.
-    chi = ctx.chi_table().reshape((ctx.p,) * ctx.k)
-    axes = tuple(range(ctx.k))
-    spectrum = np.conj(np.fft.rfftn(chi * np.roll(chi, -1, axis=-1), axes=axes))
-    spectrum *= np.fft.rfftn(chi, axes=axes)
-    s = np.fft.irfftn(spectrum, s=chi.shape, axes=axes).ravel()
+def _correlation(grid, pair) -> np.ndarray:
+    """S(c) = sum_x pair(x) chi(x + c) for every c, indexed by encoding,
+    rounded to exact integers."""
+    axes = tuple(range(grid.ndim))
+    spectrum = np.conj(np.fft.rfftn(pair, axes=axes))
+    spectrum *= np.fft.rfftn(grid, axes=axes)
+    s = np.fft.irfftn(spectrum, s=grid.shape, axes=axes).ravel()
     s_exact = np.rint(s)
     gap = float(np.abs(s - s_exact).max())
     if not gap < 0.25:
-        raise KernelCheckError(f"FFT rounding gap {gap} is not below 1/4 for q={ctx.q}")
+        raise KernelCheckError(f"FFT rounding gap {gap} is not below 1/4 for q={s.size}")
     return s_exact.astype(np.int64)
 
 
@@ -108,20 +112,16 @@ def fiber_traces(p: int, k: int) -> np.ndarray:
     """Traces at every t0 in F_{p^k} by the FFT kernel, indexed by encoding;
     0 at the singular parameters 0, 1, -1."""
     ctx = fq_ctx(p, k)
-    chi = ctx.chi_table()  # first: it refuses a field too large for q-sized arrays
-    t0 = ctx.coeff_arrays(np.arange(ctx.q))
-    t2 = ctx.mul_arrays(t0, t0)
-    chi_c = chi[ctx.encode_arrays((ctx.mul_arrays(t2, t0) - t0) % p)]
-    square = ctx.encode_arrays(t2)
-    del t0, t2  # not needed by the FFT and the recounts below; frees their memory
-    traces = -chi_c * _correlation(ctx)[square]  # chi_c is 0 exactly at 0, 1, -1
+    square = ctx.squares()  # first: it refuses a field too large for q-sized arrays
+    grid, pair, chi_c = _chi_grids(ctx)  # the table is built from those squares
+    traces = -chi_c * _correlation(grid, pair)[square]  # chi_c is 0 exactly at 0, 1, -1
     over = np.flatnonzero(traces * traces > 4 * ctx.q)
     if over.size:
         bad, a = ctx.decode(int(over[0])), abs(traces[over[0]])
         raise HasseBoundError(f"|a|={a} exceeds 2*sqrt({ctx.q}) at t0={bad!r}")
     good = np.flatnonzero(chi_c)
     for enc in good[[0, good.size // 2, -1]].tolist() if good.size else ():
-        if _fiber_trace_direct(ctx, enc) != traces[enc]:
+        if _fiber_trace_direct(ctx, enc, grid, pair) != traces[enc]:
             raise KernelCheckError(f"FFT trace disagrees with a direct count at t0={ctx.decode(enc)!r}")
     return traces
 
@@ -149,12 +149,9 @@ def euler_product_truncated(p: int, max_degree: int) -> list[int]:
                 continue  # singular parameter
             ctx = FieldCtx(p, d, modulus)
             t_bar = (-modulus[0]) % p if d == 1 else ctx.encode(ctx.gen())
-            a_x = _fiber_trace_direct(ctx, t_bar)
-            local = [0] * (max_degree + 1)
-            local[0] = 1
-            local[d] = -a_x
-            if 2 * d <= max_degree:
-                local[2 * d] += p**d
+            a_x = _fiber_trace_direct(ctx, t_bar, *_chi_grids(ctx)[:2])
+            local = [1] + [0] * (max_degree + d)  # 1 - a_x T^d + p^d T^(2d)
+            local[d], local[2 * d] = -a_x, p**d
             series = series_mul(series, series_inverse(local, max_degree), max_degree)
     return series
 

@@ -3,22 +3,35 @@ symbols and square roots mod p.  Inverses mod p are `pow(a, -1, p)`."""
 
 from __future__ import annotations
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+from bisect import bisect_right
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_k, the least strong pseudoprime to the first k prime bases (OEIS A014233)
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321, 341550071728321,
+        3825123056546413051, 3825123056546413051, 3825123056546413051, 318665857834031151167461,
+        3317044064679887385961981)
+
+
+class OutOfRangeError(ValueError):
+    """A request beyond a supported size: an integer too large for exact
+    primality, a field larger than the character table, Full mode above its
+    prime guard, or l below the certifiable range."""
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n < 3.3e24."""
+    """Deterministic Miller-Rabin with the first k prime bases, k the least
+    with n < psi_k; exact below psi_13 ~ 3.3e24, OutOfRangeError above."""
+    if n >= _PSI[-1]:
+        raise OutOfRangeError(f"{n} is too large for exact primality testing, which needs n < {_PSI[-1]}")
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
+    d, r = n - 1, 0
     while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES[: bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

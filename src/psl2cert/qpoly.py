@@ -18,11 +18,23 @@ from typing import Iterable, Sequence
 Q = Fraction
 
 
-def _trim(cs: list[Fraction]) -> tuple[Fraction, ...]:
+def trim(cs: list) -> tuple:
+    """cs without its trailing zeros, as a tuple."""
     n = len(cs)
     while n and cs[n - 1] == 0:
         n -= 1
     return tuple(cs[:n])
+
+
+def power(a, n: int, one, mul):
+    """a^n by repeated squaring under the product mul, with unit one."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        n >>= 1
+    return result
 
 
 class QPolynomial:
@@ -32,7 +44,7 @@ class QPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        self.coeffs = _trim([Q(c) for c in coeffs])
+        self.coeffs = trim([Q(c) for c in coeffs])
 
     @property
     def degree(self) -> int:
@@ -84,14 +96,7 @@ class QPolynomial:
     __radd__ = __add__
 
     def __pow__(self, n: int):
-        result = QPolynomial([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, QPolynomial([1]), QPolynomial.__mul__)
 
     def __call__(self, x) -> Fraction:
         """Exact Horner evaluation."""
@@ -236,13 +241,10 @@ def series_inverse(a: Sequence, order: int) -> list:
     """Multiplicative inverse of a power series with a[0] = 1."""
     if a[0] != 1:
         raise ValueError("series inverse requires unit constant term 1")
+    a = list(a) + [0] * order
     inv = [1] + [0] * order
     for n in range(1, order + 1):
-        acc = 0
-        for j in range(1, n + 1):
-            aj = a[j] if j < len(a) else 0
-            acc += aj * inv[n - j]
-        inv[n] = -acc
+        inv[n] = -sum(a[j] * inv[n - j] for j in range(1, n + 1))
     return inv
 
 
@@ -250,13 +252,10 @@ def series_exp(s: Sequence[Fraction], order: int) -> list[Fraction]:
     """exp of a series with zero constant term, to the given order."""
     if s and s[0] != 0:
         raise ValueError("series exp requires zero constant term")
+    s = [Q(x) for x in s] + [Q(0)] * order
     e = [Q(1)] + [Q(0)] * order
     for n in range(1, order + 1):
-        acc = Q(0)
-        for k in range(1, n + 1):
-            sk = Q(s[k]) if k < len(s) else Q(0)
-            acc += k * sk * e[n - k]
-        e[n] = acc / n
+        e[n] = sum((k * s[k] * e[n - k] for k in range(1, n + 1)), Q(0)) / n
     return e
 
 
@@ -264,14 +263,10 @@ def series_log(c: Sequence, order: int) -> list[Fraction]:
     """log of a power series with constant term 1, to the given order."""
     if c[0] != 1:
         raise ValueError("series log requires constant term 1")
+    c = [Q(x) for x in c] + [Q(0)] * order
     lg = [Q(0)] * (order + 1)
     for n in range(1, order + 1):
-        cn = Q(c[n]) if n < len(c) else Q(0)
-        acc = cn
-        for k in range(1, n):
-            ck = Q(c[n - k]) if n - k < len(c) else Q(0)
-            acc -= Q(k, n) * lg[k] * ck
-        lg[n] = acc
+        lg[n] = c[n] - sum((Q(k, n) * lg[k] * c[n - k] for k in range(1, n)), Q(0))
     return lg
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
@@ -189,8 +190,10 @@ class WeierstrassModel:
         return WeierstrassModel.from_coeffs(a2=a * c, a4=b * c**2, a6=d * c**3)
 
 
+@lru_cache(maxsize=8)
 def invariants(model: WeierstrassModel) -> Invariants:
-    """Exact c4, c6, Delta, j of the model; raises on Delta = 0."""
+    """Exact c4, c6, Delta, j of the model; raises on Delta = 0.  Memoised:
+    every place valuation of one model reads one computation."""
     a1, a2, a3, a4, a6 = model.a1, model.a2, model.a3, model.a4, model.a6
     b2 = a1**2 + 4 * a2
     b4 = 2 * a4 + a1 * a3

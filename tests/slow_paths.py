@@ -11,11 +11,19 @@
 - u_p mod l read off the reduced quartic P_p mod l in the SL2 (x) SL2 model,
   for the one definition of u_p mod l that `certify` records;
 - a polynomial reduced mod l one coefficient and one inverse at a time, for
-  `certify`'s residues over one common denominator per witness.
+  `certify`'s residues over one common denominator per witness;
+- a fiber count that re-encodes two shifted copies of F_q, and chi(t^3 - t)
+  from field products, for the grid rolls of `lpoly`'s kernel;
+- reducibility read off every product of two monic factors, for Rabin's
+  test in `gf.is_irreducible`.
 """
 
 import itertools
 from fractions import Fraction as Q
+
+import numpy as np
+
+from psl2cert.gf import poly_mul
 
 from psl2cert.ortho import (
     GRID,
@@ -195,3 +203,37 @@ def reduce_poly_mod(poly: QPolynomial, ell: int) -> tuple[int, ...]:
     """Coefficients of poly in F_ell, lowest degree first; one per
     coefficient of poly, so a quartic gives five."""
     return tuple(reduce_mod(c, ell) for c in poly.coeffs)
+
+
+def fiber_trace_encoded(ctx, enc: int) -> int:
+    """Trace at one encoded good parameter: sum over x of chi(x) chi(x+1)
+    chi(x+t0^2), each shifted copy of F_q added coefficient-wise and
+    re-encoded, times -chi(t0^3 - t0) read from the element's encoding."""
+    t0 = ctx.decode(enc)
+    c2 = t0 * t0
+    chi = ctx.chi_table()
+    x = ctx.coeff_arrays(np.arange(ctx.q))
+
+    def chi_shifted(v):  # chi(x + v) for every x
+        return chi[ctx.encode_arrays((x + np.array(v.coeffs, dtype=x.dtype)[:, None]) % ctx.p)]
+
+    s = int((chi * chi_shifted(ctx.one()).astype(np.int64) * chi_shifted(c2)).sum())
+    return -int(chi[ctx.encode(c2 * t0 - t0)]) * s
+
+
+def chi_cubic_by_products(ctx) -> np.ndarray:
+    """chi(t^3 - t) for every t, indexed by encoding, from two whole-field
+    products."""
+    t = ctx.coeff_arrays(np.arange(ctx.q))
+    cube = ctx.mul_arrays(ctx.mul_arrays(t, t), t)
+    return ctx.chi_table()[ctx.encode_arrays((cube - t) % ctx.p)]
+
+
+def reducible_monics(p: int, d: int) -> set:
+    """Every monic polynomial of degree d over F_p that is a product of two
+    monic polynomials of positive degree, from all such products."""
+
+    def monics(e):
+        return (tuple(c) + (1,) for c in itertools.product(range(p), repeat=e))
+
+    return {poly_mul(f, g, p) for e in range(1, d // 2 + 1) for f in monics(e) for g in monics(d - e)}

@@ -1,5 +1,6 @@
 """CLI behaviour: output formats, exit codes, cache round-trips."""
 
+import importlib
 import json
 
 import pytest
@@ -18,6 +19,8 @@ from psl2cert.cli import (
     main,
 )
 from psl2cert.lpoly import KernelCheckError, ShapeViolation
+
+certify_module = importlib.import_module("psl2cert.certify")
 
 
 def run(capsys, *argv):
@@ -401,6 +404,11 @@ from psl2cert import cli
 sys.exit(cli.main(sys.argv[1:]))
 """
 
+# The least strong pseudoprimes to the first 12 and 13 prime bases: both
+# composite, and both passed the 12-base primality test of earlier versions.
+PSI_12 = 399165290221 * 798330580441
+PSI_13 = 1287836182261 * 2575672364521
+
 WRONG_DELTA = """
 real = cli.invariants
 cli.invariants = lambda model: real(model)._replace(delta=real(model).c4)
@@ -419,6 +427,8 @@ BAD_COMMAND_LINES = [
     (["lpoly", "--p", "100003"], EXIT_RANGE, ""),
     (["certify", "--ell", "11", "--witnesses", "3,100003"], EXIT_RANGE, ""),
     (["invariants"], EXIT_WEIL, WRONG_DELTA),
+    (["certify", "--ell", str(PSI_12)], EXIT_USAGE, ""),  # composite: not prime
+    (["certify", "--ell", str(PSI_13)], EXIT_RANGE, ""),  # beyond exact primality
 ]
 
 
@@ -433,3 +443,14 @@ def test_bad_command_lines_print_one_error_line_and_no_traceback(tmp_path, argv,
     assert "Traceback" not in child.stderr
     assert (child.returncode, child.stdout) == (code, "")
     assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("ell", [PSI_12, PSI_13])
+def test_verify_rejects_a_certificate_for_a_strong_pseudoprime(capsys, tmp_path, monkeypatch, ell):
+    with monkeypatch.context() as patch:  # what a primality test fooled by ell would write
+        patch.setattr(certify_module, "is_prime", lambda n: True)
+        doc = certificate_to_dict(certify_module.certify(ell))
+    assert doc["verdict"] == "Certified"
+    path = tmp_path / "pseudoprime.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "verify", str(path)) == (EXIT_WEIL, "verified 0/1\n")

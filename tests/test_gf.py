@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from psl2cert.gf import FieldCtx, enum_irreducibles, fq_ctx, poly_eval, quad_char
+from psl2cert.gf import FieldCtx, _monic_polys, enum_irreducibles, fq_ctx, is_irreducible, poly_eval, quad_char
 from psl2cert.modarith import primes_in_range
+from slow_paths import reducible_monics
 
 
 def brute_force_irreducible_quadratics(p):
@@ -151,6 +152,14 @@ def test_enum_irreducibles_count_formula(p, d):
 def test_enumerated_polynomials_have_no_roots(p, d):
     for m in enum_irreducibles(p, d):
         assert all(poly_eval(m, x, p) != 0 for x in range(p))
+
+
+@pytest.mark.parametrize("p,degrees", [(3, (1, 2, 3, 4)), (5, (1, 2, 3, 4)), (7, (1, 2, 3, 4)), (11, (4,))])
+def test_is_irreducible_matches_every_product_of_monic_factors(p, degrees):
+    for d in degrees:
+        reducible = reducible_monics(p, d)
+        for m in _monic_polys(p, d):
+            assert is_irreducible(m, p) == (m not in reducible), m
 
 
 def test_extension_arithmetic_matches_modulus():

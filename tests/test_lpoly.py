@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_python
+from slow_paths import chi_cubic_by_products, fiber_trace_encoded
 from psl2cert import lpoly as lpoly_module
 from psl2cert.gf import fq_ctx, quad_char
 from psl2cert.lpoly import (
@@ -120,9 +121,39 @@ def test_fft_kernel_checks_fail_loudly(monkeypatch):
     with pytest.raises(HasseBoundError, match="at t0="):
         fiber_traces(7, 2)
     monkeypatch.setattr(np.fft, "irfftn", irfftn)
-    monkeypatch.setattr(lpoly_module, "_fiber_trace_direct", lambda ctx, enc: 99)
+    monkeypatch.setattr(lpoly_module, "_fiber_trace_direct", lambda ctx, enc, grid, pair: 99)
     with pytest.raises(KernelCheckError, match="direct count"):
         fiber_traces(7, 2)
+
+
+@pytest.mark.parametrize("p,k", [(7, 2), (13, 2), (5, 3), (11, 3), (3, 4), (7, 4)])
+def test_grid_recount_matches_encoded_count_on_every_good_fiber(p, k):
+    ctx = fq_ctx(p, k)
+    grid, pair, chi_c = lpoly_module._chi_grids(ctx)
+    good = np.flatnonzero(chi_c).tolist()
+    assert len(good) == ctx.q - 3
+    for enc in good:
+        assert lpoly_module._fiber_trace_direct(ctx, enc, grid, pair) == fiber_trace_encoded(ctx, enc), enc
+
+
+def test_rolled_chi_cubic_matches_field_products():
+    fields = [(p, k) for p in primes_in_range(3, 5**4) for k in range(1, 5) if p**k <= 5**4] + [(11, 4)]
+    for p, k in fields:
+        ctx = fq_ctx(p, k)
+        chi_c = lpoly_module._chi_grids(ctx)[2]
+        assert np.array_equal(chi_c, chi_cubic_by_products(ctx)), (p, k)
+
+
+def test_squares_are_built_once_and_not_held(monkeypatch):
+    fq_ctx.cache_clear()
+    ctx = fq_ctx(23, 3)
+    calls = []
+    squares = type(ctx).squares
+    monkeypatch.setattr(type(ctx), "squares", lambda self: calls.append(self) or squares(self))
+    fiber_traces(23, 3)
+    assert calls == [ctx] and ctx._squares is None
+    fiber_traces(23, 3)  # the table is built: the squares are not kept for it
+    assert calls == [ctx, ctx] and ctx._squares is None
 
 
 SMALL_FIELDS = [(p, k) for p in (3, 5, 7, 11, 13) for k in (1, 2, 3, 4) if p**k <= 2500]
