@@ -320,12 +320,18 @@ class FqElem:
 @lru_cache(maxsize=8)  # Full mode touches four fields per prime
 def fq_ctx(p: int, k: int) -> FieldCtx:
     """Deterministic context for F_{p^k}: the modulus is the
-    lexicographically smallest monic irreducible of degree k over F_p."""
+    lexicographically smallest monic irreducible of degree k over F_p.
+
+    For k = 4 and p = 3 (mod 4) it skips the p binomials x^4 + c that come
+    first: -1 is a nonsquare, so either -c = a^2 and x^4 + c = (x^2 - a)(x^2 + a),
+    or c = b^2 and one of +-2b is a square s^2, and x^4 + b^2 = (x^2 + b)^2
+    - 2b x^2 = (x^2 - b)^2 + 2b x^2 is a difference of squares."""
     if not is_prime(p) or p == 2:
         raise ValueError(f"p must be an odd prime, got {p}")
     if not 1 <= k <= 4:
         raise ValueError(f"extension degree must be 1..4, got {k}")
-    return FieldCtx(p, k, next(m for m in _monic_polys(p, k) if is_irreducible(m, p)))  # t when k = 1
+    candidates = itertools.islice(_monic_polys(p, k), p if k == 4 and p % 4 == 3 else 0, None)
+    return FieldCtx(p, k, next(m for m in candidates if is_irreducible(m, p)))  # t when k = 1
 
 
 def quad_char(ctx: FieldCtx, v) -> int:

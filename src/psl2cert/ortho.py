@@ -9,20 +9,23 @@ it must avoid has degree at most 4 in each coordinate, and l >= 11, so by
 the Combinatorial Nullstellensatz a nonzero one is nonzero on the grid.
 Each recursion step scores the grid in chunks of CHUNK points, one numpy
 pass per chunk in itertools.product order, and stops at the first chunk
-that holds a pass; the first passing point is kept.
+that holds a pass; the first passing point is kept.  Each OrthMatrix is
+factored once: its vectors are cached as `OrthMatrix.reflections`, which
+`cartan_dieudonne` copies into a fresh list.
 
 The spinor norm has two independent evaluation paths: det(I + A) when that
 determinant is nonzero, and otherwise the product of the square classes
-<v,v> over a reflection factorization.  Both are exposed so they can be
-cross-checked against each other.
+<v,v> over the cached reflection factorization.  Both are exposed so they
+can be cross-checked against each other.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import prod
+from operator import mul
 
 import numpy as np
 
@@ -35,6 +38,7 @@ Vec = tuple[int, ...]
 DIM = 4
 GRID = 5  # candidate coordinates 0..4: one more than the degree of Q(x) Q(mx - x)
 _IDENTITY = np.eye(DIM, dtype=np.int64)
+_ONES = np.ones(DIM, dtype=np.int64)  # x @ _ONES sums the rows of x
 
 
 def identity(n: int = DIM) -> Mat:
@@ -47,13 +51,11 @@ def mat_reduce(a, ell: int) -> Mat:
 
 def mat_mul(a: Mat, b: Mat, ell: int) -> Mat:
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % ell for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) % ell for col in bt) for row in a)
 
 
 def mat_vec(a: Mat, v: Vec, ell: int) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) % ell for row in a)
+    return tuple(sum(map(mul, row, v)) % ell for row in a)
 
 
 def mat_add(a: Mat, b: Mat, ell: int) -> Mat:
@@ -131,11 +133,18 @@ class GramForm:
             raise ValueError("form matrix is degenerate")
 
     def pair(self, v: Vec, w: Vec) -> int:
-        ell = self.ell
-        return sum(v[i] * self.gram[i][j] * w[j] for i in range(DIM) for j in range(DIM)) % ell
+        return sum(map(mul, v, mat_vec(self.gram, w, self.ell))) % self.ell
 
     def norm(self, v: Vec) -> int:
         return self.pair(v, v)
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The identity and the Gram matrix as _factor reads them (and never
+        writes): int64 when 16 l^3 < 2^63, since every entry in _factor stays
+        under 16 l^3 before its reduction, else Python integers (object)."""
+        dtype = np.int64 if 16 * self.ell**3 < 2**63 else object
+        return np.eye(DIM, dtype=dtype), np.array(self.gram, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -162,6 +171,12 @@ class OrthMatrix:
         d = mat_det(self.mat, self.form.ell)
         return d if d == 1 else d - self.form.ell  # orthogonal: +-1
 
+    @cached_property
+    def reflections(self) -> tuple[Vec, ...]:
+        """The vectors of cartan_dieudonne(self), factored once."""
+        basis, g = self.form._arrays
+        return tuple(_factor(np.array(self.mat, dtype=g.dtype), basis, g, self.form.ell))
+
 
 def reflection_matrix(v: Vec, form: GramForm) -> Mat:
     """Matrix of the reflection across v: w -> w - 2 <v,w>/<v,v> v."""
@@ -184,8 +199,8 @@ def reflection(v: Vec, form: GramForm) -> OrthMatrix:
 @lru_cache(maxsize=None)
 def _grid(k: int) -> np.ndarray:
     """The coefficient grid {0..4}^k, one row per point in
-    itertools.product order."""
-    return np.array(list(itertools.product(range(GRID), repeat=k)), dtype=np.int64)
+    itertools.product order (the last coordinate varies fastest)."""
+    return np.indices((GRID,) * k, dtype=np.int64).reshape(k, -1).T.copy()
 
 
 # Grid points scored per numpy pass.  On 147 random and unipotent tensor-form
@@ -205,27 +220,25 @@ def _reflect(m: np.ndarray, v: np.ndarray, g: np.ndarray, ell: int) -> np.ndarra
 def _factor(m: np.ndarray, basis: np.ndarray, g: np.ndarray, ell: int) -> list[Vec]:
     """Reflection vectors for m, which preserves the nondegenerate span V
     of the rows of basis and fixes V^perp pointwise.  Every array holds
-    residues mod l, on int64 or on Python integers as cartan_dieudonne
-    chose."""
+    residues mod l, on the dtype of GramForm._arrays."""
     diff = (m - _IDENTITY) % ell
     if not diff.any():
         return []
     coeffs = _grid(len(basis))
-
-    def norms(v):
-        return ((v @ g) * v).sum(1) % ell
-
     first = None  # the first anisotropic x, for the fall-through
     for start in range(0, len(coeffs), CHUNK):
         c = coeffs[start : start + CHUNK]
         x = c @ basis % ell
+        xg = x @ g
         w = x @ diff.T % ell
-        qx = norms(x)
+        qx = (xg * x) @ _ONES % ell
         anisotropic = qx != 0
-        # keep x when m fixes it (w has entries in [0, l), so w = 0 iff its
-        # sum is 0) or when w = m x - x is anisotropic
-        passing = anisotropic & ((norms(w) != 0) | (w.sum(1) == 0))
-        if passing.any():
+        fixed = w @ _ONES == 0  # w has entries in [0, l), so w = 0 iff its sum is 0
+        # keep x when m fixes it or when w = m x - x is anisotropic; m is
+        # orthogonal, so Q(w) = Q(m x) - 2 <m x, x> + Q(x) = -2 <w, x>
+        passing = anisotropic & (((xg * w) @ _ONES % ell != 0) | fixed)
+        i = passing.argmax()
+        if passing[i]:
             break
         if first is None and anisotropic.any():
             first = x[anisotropic.argmax()]
@@ -234,18 +247,16 @@ def _factor(m: np.ndarray, basis: np.ndarray, g: np.ndarray, ell: int) -> list[V
         # isotropic and det m = 1; after one reflection the det is -1 and
         # this branch cannot recur.
         return [tuple(first.tolist())] + _factor(_reflect(m, first, g, ell), basis, g, ell)
-    i = passing.argmax()
     xi = x[i]
     # x^perp within V: project away x from the basis vectors but one
-    scale = (basis @ (g @ xi) % ell) * pow(int(qx[i]), -1, ell) % ell  # <b, x> / Q(x)
+    scale = (basis @ xg[i] % ell) * pow(int(qx[i]), -1, ell) % ell  # <b, x> / Q(x); G = G^T
     projected = (basis - scale[:, None] * xi) % ell
     k = c[i].nonzero()[0][0]
     rest = np.concatenate((projected[:k], projected[k + 1 :]))
-    wi = w[i]
-    if not wi.any():  # m fixes x
+    if fixed[i]:  # m fixes x
         return _factor(m, rest, g, ell)
     # r_w maps m x to x, so r_w m fixes x
-    return [tuple(wi.tolist())] + _factor(_reflect(m, wi, g, ell), rest, g, ell)
+    return [tuple(w[i].tolist())] + _factor(_reflect(m, w[i], g, ell), rest, g, ell)
 
 
 def cartan_dieudonne(m: OrthMatrix) -> list[Vec]:
@@ -261,17 +272,15 @@ def cartan_dieudonne(m: OrthMatrix) -> list[Vec]:
     grid only if it vanishes identically.  Each step scores the grid
     {0..4}^k (k = dim V) CHUNK points per numpy pass, in itertools.product
     order, and stops at the first chunk that holds a passing candidate; it
-    keeps the first one, so the vectors do not depend on CHUNK.  The matrix,
-    basis and Gram matrix are converted once, to int64 when 16 l^3 < 2^63
-    and to Python integers (object dtype) otherwise, so the vectors do not
-    depend on the dtype either; each reflection is applied as a rank-one
-    update of the array.
+    keeps the first one, so the vectors do not depend on CHUNK.  The matrix
+    is converted once, and the basis and Gram matrix once per form, to int64
+    when 16 l^3 < 2^63 and to Python integers (object dtype) otherwise, so
+    the vectors do not depend on the dtype either; each reflection is
+    applied as a rank-one update of the array.  The vectors are computed
+    once per matrix and kept as m.reflections; each call returns a fresh
+    list of them.
     """
-    ell = m.form.ell
-    # every entry in _factor stays under 16 l^3 before its reduction
-    dtype = np.int64 if 16 * ell**3 < 2**63 else object
-    arrays = (np.array(a, dtype=dtype) for a in (m.mat, identity(), m.form.gram))
-    return _factor(*arrays, ell)
+    return list(m.reflections)
 
 
 def spinor_norm(m: OrthMatrix) -> SquareClass:
@@ -288,11 +297,9 @@ def spinor_norm(m: OrthMatrix) -> SquareClass:
 
 
 def spinor_norm_by_reflections(m: OrthMatrix) -> SquareClass:
-    """Reflection-product path only, for cross-checking the fast path."""
-    cls = SquareClass.SQUARE
-    for v in cartan_dieudonne(m):
-        cls = cls * square_class(m.form.norm(v), m.form.ell)
-    return cls
+    """Reflection-product path only, for cross-checking the fast path: the
+    product of the Legendre symbols of <v,v> over m.reflections."""
+    return SquareClass(prod(legendre(m.form.norm(v), m.form.ell) for v in m.reflections))
 
 
 def in_omega(m: OrthMatrix) -> bool:

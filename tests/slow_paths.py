@@ -15,7 +15,11 @@
 - a fiber count that re-encodes two shifted copies of F_q, and chi(t^3 - t)
   from field products, for the grid rolls of `lpoly`'s kernel;
 - reducibility read off every product of two monic factors, for Rabin's
-  test in `gf.is_irreducible`.
+  test in `gf.is_irreducible`;
+- the full lexicographic modulus search, binomials included, for
+  `gf.fq_ctx`, which skips the binomials of degree 4 when p = 3 (mod 4);
+- matrix products and the bilinear pairing as generator sums over index
+  pairs, for the `map(mul, ...)` sums of `ortho`.
 """
 
 import itertools
@@ -23,7 +27,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 
-from psl2cert.gf import poly_mul
+from psl2cert.gf import _monic_polys, is_irreducible, poly_mul
 
 from psl2cert.ortho import (
     GRID,
@@ -237,3 +241,24 @@ def reducible_monics(p: int, d: int) -> set:
         return (tuple(c) + (1,) for c in itertools.product(range(p), repeat=e))
 
     return {poly_mul(f, g, p) for e in range(1, d // 2 + 1) for f in monics(e) for g in monics(d - e)}
+
+
+def fq_modulus_full_search(p: int, k: int) -> tuple:
+    """The lexicographically first monic irreducible of degree k over F_p,
+    trying every candidate."""
+    return next(m for m in _monic_polys(p, k) if is_irreducible(m, p))
+
+
+def mat_mul_generator(a, b, ell: int) -> tuple:
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % ell for col in bt) for row in a)
+
+
+def mat_vec_generator(a, v, ell: int) -> tuple:
+    return tuple(sum(x * y for x, y in zip(row, v)) % ell for row in a)
+
+
+def pair_double_sum(form, v, w) -> int:
+    """<v, w> as the double sum of v_i g_ij w_j."""
+    n = len(form.gram)
+    return sum(v[i] * form.gram[i][j] * w[j] for i in range(n) for j in range(n)) % form.ell

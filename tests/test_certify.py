@@ -3,9 +3,10 @@
 import importlib
 import json
 from fractions import Fraction as Q
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from psl2cert.certify import (
@@ -330,6 +331,69 @@ def test_warm_memo_does_not_weaken_the_checker():
         assert doc != good
         assert not verify_certificate(doc)
     assert verify_certificate(good)
+
+
+@lru_cache(maxsize=None)
+def fuzz_documents() -> tuple:
+    """Real certificates as JSON text: two certified (19 needs witness 5 for
+    the exceptional branch, 1601 for the borel one) and one Inconclusive."""
+    certs = (certify(19), certify(1601), certify(23, witnesses=(5,)))
+    return tuple(json.dumps(certificate_to_dict(cert)) for cert in certs)
+
+
+def nodes(node, path=()):
+    """(path, value) for the document and every value inside it."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from nodes(child, path + (key,))
+
+
+HUGE_OR_NEGATIVE = st.one_of(
+    st.integers(max_value=-1),
+    st.integers(min_value=3317044064679887385961981),  # past exact primality
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A real certificate after one structural mutation."""
+    doc = json.loads(draw(st.sampled_from(fuzz_documents())))
+    kind = draw(st.sampled_from(["drop", "extra", "swap", "duplicate", "reorder", "integer"]))
+    found = list(nodes(doc))
+    dicts = [(path, node) for path, node in found if isinstance(node, dict)]
+    lists = [(path, node) for path, node in found if isinstance(node, list)]
+    if kind == "integer":
+        path = draw(st.sampled_from([path for path, node in found if not isinstance(node, (dict, list))]))
+        n = draw(HUGE_OR_NEGATIVE)
+        # the last spelling is past Python's int-to-string conversion limit
+        return replaced(doc, path, draw(st.sampled_from([n, str(n), f"{n}/1", f"1/{n}", "9" * 5000])))
+    if kind == "drop":
+        path, node = draw(st.sampled_from([(path, node) for path, node in dicts if node]))
+        del node[draw(st.sampled_from(sorted(node)))]
+    elif kind == "extra":
+        path, node = draw(st.sampled_from(dicts))
+        node[draw(st.text(max_size=8))] = draw(st.one_of(st.none(), st.integers(), st.text(max_size=4), st.just([])))
+    elif kind == "swap":  # a list for a dict and a dict for a list
+        path, node = draw(st.sampled_from(dicts + lists))
+        other = {str(i): v for i, v in enumerate(node)} if isinstance(node, list) else list(node.values())
+        return replaced(doc, path, other) if path else other
+    elif kind == "duplicate":
+        path, node = draw(st.sampled_from([(path, node) for path, node in lists if node]))
+        node.insert(draw(st.integers(0, len(node))), node[draw(st.integers(0, len(node) - 1))])
+    else:
+        path, node = draw(st.sampled_from([(path, node) for path, node in lists if len(node) > 1]))
+        node[:] = draw(st.permutations(node))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_checker_rejects_structural_mutations_without_raising(doc):
+    # dropped or extra keys, lists swapped for dicts, duplicated or reordered
+    # entries (witnesses among them), huge or negative integers
+    assume(all(doc != json.loads(text) for text in fuzz_documents()))
+    assert verify_certificate(doc) is False
 
 
 def test_certificate_to_dict_returns_fresh_documents():

@@ -7,7 +7,7 @@ import pytest
 
 from psl2cert.gf import FieldCtx, _monic_polys, enum_irreducibles, fq_ctx, is_irreducible, poly_eval, quad_char
 from psl2cert.modarith import primes_in_range
-from slow_paths import reducible_monics
+from slow_paths import fq_modulus_full_search, reducible_monics
 
 
 def brute_force_irreducible_quadratics(p):
@@ -183,3 +183,13 @@ def test_quad_char_power_path_above_table_bound():
     # multiplicativity on a few pairs
     a, b = ctx.elem((2, 3)), ctx.elem((11, 4))
     assert quad_char(ctx, a) * quad_char(ctx, b) == quad_char(ctx, a * b)
+
+
+def test_quartic_modulus_skips_only_reducible_binomials():
+    # for p = 3 (mod 4) fq_ctx starts past the binomials x^4 + c, and the
+    # modulus must be the full search's; for p = 1 (mod 4) some binomial is
+    # irreducible, so the skip must stay off there
+    for p in primes_in_range(3, 200):
+        assert fq_ctx.__wrapped__(p, 4).modulus == fq_modulus_full_search(p, 4), p
+        binomials = [(c, 0, 0, 0, 1) for c in range(p)]
+        assert any(map(is_irreducible, binomials, [p] * p)) == (p % 4 == 1), p

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -30,7 +31,13 @@ from psl2cert.ortho import (
     square_class,
 )
 from psl2cert.tensor import M2_IDENTITY, tensor_action, tensor_form
-from slow_paths import cartan_dieudonne_sequential, reciprocal_charpoly_recurrence
+from slow_paths import (
+    cartan_dieudonne_sequential,
+    mat_mul_generator,
+    mat_vec_generator,
+    pair_double_sum,
+    reciprocal_charpoly_recurrence,
+)
 
 LS = (11, 13, 19)
 
@@ -40,6 +47,12 @@ def recompose(vectors, form):
     for v in vectors:
         m = mat_mul(m, reflection_matrix(v, form), form.ell)
     return m
+
+
+def unfactored(m):
+    """Whether m has not been factored yet, so that a test of the factoring
+    reads a fresh result and not one cached under another setting."""
+    return "reflections" not in vars(m)
 
 
 def diagonal_form(ell, diagonal):
@@ -159,6 +172,7 @@ def test_cartan_dieudonne_matches_sequential_scan(ell):
     matrices = [rand_orthogonal(form, rng, rng.randint(0, 5)) for _ in range(30 if small else 6)]
     matrices += [rand_unipotent(ell, rng) for _ in range(4 if small else 2)]
     for m in matrices:
+        assert unfactored(m)
         vecs = cartan_dieudonne(m)
         assert vecs == cartan_dieudonne_sequential(m)
         assert all(type(x) is int for v in vecs for x in v)
@@ -189,9 +203,11 @@ def test_cartan_dieudonne_matches_sequential_scan_across_chunks(monkeypatch, chu
         for form in forms:
             matrices = [rand_orthogonal(form, rng, rng.randint(0, 5)) for _ in range(8 if ell < 100 else 3)]
             for m in matrices:
+                assert unfactored(m)
                 assert cartan_dieudonne(m) == cartan_dieudonne_sequential(m)
         for _ in range(3 if ell < 100 else 1):
             m = rand_unipotent(ell, rng)
+            assert unfactored(m)
             vecs = cartan_dieudonne(m)
             assert vecs == cartan_dieudonne_sequential(m)
             # a fall-through: the first vector is the first anisotropic grid
@@ -226,6 +242,7 @@ def test_scan_stops_at_the_first_passing_chunk(monkeypatch):
     with pytest.raises(AssertionError):
         guarded(4) @ np.eye(4, dtype=np.int64)
     monkeypatch.setattr(ortho, "_grid", guarded)
+    assert unfactored(m)
     vecs = cartan_dieudonne(m)
     assert vecs == cartan_dieudonne_sequential(m)
     assert recompose(vecs, form) == m.mat
@@ -319,3 +336,112 @@ def test_orth_matrix_validates_membership():
     bad = tuple(tuple(1 if (i, j) == (0, 1) else (1 if i == j else 0) for j in range(4)) for i in range(4))
     with pytest.raises(ValueError):
         OrthMatrix(bad, form)
+
+
+@pytest.mark.parametrize("ell", (11, 31))
+def test_vectors_do_not_depend_on_the_dtype(ell):
+    # the object-dtype path, run by hand at an l where the form picks int64
+    form = tensor_form(ell)
+    assert form._arrays[1].dtype == np.int64
+    rng = random.Random(ell + 1)
+    for m in [rand_orthogonal(form, rng, rng.randint(0, 5)) for _ in range(10)] + [rand_unipotent(ell, rng)]:
+        arrays = (np.array(a, dtype=object) for a in (m.mat, identity(), form.gram))
+        assert unfactored(m)
+        assert tuple(ortho._factor(*arrays, ell)) == m.reflections == tuple(cartan_dieudonne_sequential(m))
+
+
+def count_top_level_factors(monkeypatch) -> list:
+    """Patch ortho._factor to record one entry per factorization, not per
+    recursion step."""
+    factor, depth, top = ortho._factor, [0], []
+
+    def counted(*args):
+        if depth[0] == 0:
+            top.append(args)
+        depth[0] += 1
+        try:
+            return factor(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ortho, "_factor", counted)
+    return top
+
+
+@pytest.mark.parametrize("first", (cartan_dieudonne, spinor_norm_by_reflections, spinor_norm))
+def test_each_matrix_is_factored_once(monkeypatch, first):
+    top = count_top_level_factors(monkeypatch)
+    form = tensor_form(13)
+    rng = random.Random(7)
+    # det -1, so det(I + m) = 0 and spinor_norm takes the reflection path
+    m = rand_orthogonal(form, rng, 3)
+    assert mat_det(mat_add(identity(), m.mat, 13), 13) == 0
+    first(m)
+    vecs = cartan_dieudonne(m)
+    assert spinor_norm(m) is spinor_norm_by_reflections(m)
+    assert cartan_dieudonne(m) == vecs == cartan_dieudonne_sequential(m)
+    assert len(top) == 1
+    # an equal matrix is another object with its own cache
+    cartan_dieudonne(OrthMatrix(m.mat, form))
+    assert len(top) == 2
+
+
+def test_factor_leaves_the_cached_form_arrays_alone():
+    form = diagonal_form(13, (1, 1, 1, 2))
+    before = [a.copy() for a in form._arrays]
+    rng = random.Random(8)
+    for _ in range(20):
+        cartan_dieudonne(rand_orthogonal(form, rng, rng.randint(1, 5)))
+    assert all((a == b).all() for a, b in zip(form._arrays, before))
+
+
+def test_mutating_the_returned_list_does_not_change_the_next_result():
+    form = tensor_form(11)
+    m = rand_orthogonal(form, random.Random(9), 4)
+    vecs = cartan_dieudonne(m)
+    expected = list(vecs)
+    vecs.append((1, 0, 0, 1))
+    vecs[0] = (0, 0, 0, 0)
+    del vecs[1]
+    assert cartan_dieudonne(m) == expected
+    assert cartan_dieudonne(m) is not cartan_dieudonne(m)
+    assert m.reflections == tuple(expected)
+
+
+@pytest.mark.parametrize("ell", (11, 31, 2**61 - 1))
+def test_spinor_by_reflections_is_the_product_over_the_sequential_factorization(ell):
+    form = tensor_form(ell)
+    rng = random.Random(ell + 2)
+    for m in [rand_orthogonal(form, rng, rng.randint(0, 5)) for _ in range(12)] + [rand_unipotent(ell, rng)]:
+        classes = (square_class(form.norm(v), ell) for v in cartan_dieudonne_sequential(m))
+        assert spinor_norm_by_reflections(m) is reduce(SquareClass.__mul__, classes, SquareClass.SQUARE)
+
+
+def random_form(ell, rng):
+    while True:
+        g = [[0] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                g[i][j] = g[j][i] = rng.randrange(-ell, ell)
+        if mat_det(mat_reduce(g, ell), ell):
+            return GramForm(ell, g)
+
+
+@pytest.mark.parametrize("ell", (11, 31, 2**31 - 1, 2**61 - 1))
+def test_map_mul_sums_match_the_generator_sums(ell):
+    rng = random.Random(ell + 3)
+
+    def rand_mat(rows, cols):  # entries unreduced, some negative
+        return tuple(tuple(rng.randrange(-ell, 2 * ell) for _ in range(cols)) for _ in range(rows))
+
+    for n in (2, 4):
+        for _ in range(30):
+            a, b = rand_mat(n, n), rand_mat(n, n)
+            v = rand_mat(1, n)[0]
+            assert mat_mul(a, b, ell) == mat_mul_generator(a, b, ell)
+            assert mat_vec(a, v, ell) == mat_vec_generator(a, v, ell)
+    for _ in range(10):
+        form = random_form(ell, rng)
+        for _ in range(10):
+            v, w = rand_mat(2, 4)
+            assert form.pair(v, w) == pair_double_sum(form, v, w)

@@ -5,6 +5,7 @@ and `tensor.group_order_bfs`; the L-polynomial jobs `lpoly.fq_ctx`,
 of any of them breaks it.  The L-polynomial jobs also check the Full-mode
 L-polynomials of 7 and 11 against the benchmark's reference values."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -13,6 +14,13 @@ import pytest
 from conftest import run_python
 
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
+
+def benchmark_inputs(workload: str, seed: int) -> dict:
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.make_inputs(workload, seed)[0]
 
 
 def traced_run(workload: str) -> dict:
@@ -28,6 +36,9 @@ def test_traced_ortho_factor_counts_every_wrapped_call():
     metrics = traced_run("ortho-factor")
     for name in ("ortho.cd_calls", "ortho.reflections", "tensor.bfs_elements"):
         assert metrics[name]["value"] > 0, name
+    # each matrix is factored once: the spinor norm reads the cached vectors
+    # and calls no cartan_dieudonne of its own
+    assert metrics["ortho.cd_calls"]["value"] == len(benchmark_inputs("ortho-factor", 7)["matrices"])
 
 
 @pytest.mark.parametrize("workload", ["full-recount", "shape-scan"])

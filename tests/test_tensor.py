@@ -8,16 +8,21 @@ import pytest
 
 from conftest import rand_sl2
 from psl2cert import tensor
-from psl2cert.lpoly import lpolynomial
-from psl2cert.modarith import legendre, sqrt_mod
+from psl2cert.certify import WitnessData, eliminate_exceptional
+from psl2cert.lpoly import SquareShape, lpolynomial, shape_classify
+from psl2cert.modarith import legendre, primes_in_range, sqrt_mod
 from psl2cert.ortho import (
     identity,
     in_omega,
+    mat_add,
+    mat_det,
     mat_mul,
     mat_neg,
     mat_reduce,
     mat_trace,
     reciprocal_charpoly,
+    spinor_norm,
+    spinor_norm_by_reflections,
 )
 from psl2cert.qpoly import reduce_mod
 from psl2cert.tensor import (
@@ -178,6 +183,31 @@ def test_trace_square_consistency_with_action(ell):
         quartic = reciprocal_charpoly(m.mat, ell)
         u = trace_square_invariant(quartic, 5, ell)  # any p = 1 (mod 4) branch
         assert u == mat_trace(a, ell) ** 2 % ell
+
+
+def test_frobenius_model_of_each_witness():
+    # Frob_p / p mod l in the model: A (x) I (square shape) or A (x) B0
+    # (biquadratic shape, B0 of order 4) with tr A = -s, s the shape's b.
+    # Its reciprocal charpoly is P_p mod l and det(I + g) = P_p(-1), a
+    # square, so g lies in Omega(4); where P_p(-1) = 0 mod l the spinor norm
+    # takes the cached reflection path.
+    reflection_path = 0
+    for p in primes_in_range(3, 31):
+        wd = WitnessData.from_prime(p)
+        shape = shape_classify(wd.lp)
+        for ell in primes_in_range(11, 199):
+            if ell == p:
+                continue
+            a = ((0, ell - 1), (1, -reduce_mod(shape.b, ell) % ell))
+            g = tensor_action(a, M2_IDENTITY if isinstance(shape, SquareShape) else B0, ell)
+            assert reciprocal_charpoly(g.mat, ell) == reduce_poly_mod(wd.lp.as_qpoly(), ell)
+            assert in_omega(g)
+            if mat_det(mat_add(identity(), g.mat, ell), ell) == 0:
+                assert "reflections" in vars(g) and spinor_norm(g) is spinor_norm_by_reflections(g)
+                reflection_path += 1
+            u = eliminate_exceptional(ell, [wd]).witness_u[0][1]  # the certificate's u mod l
+            assert mat_trace(kronecker_decompose(g).a, ell) ** 2 % ell == u
+    assert reflection_path == 2  # (p, l) = (17, 13) and (29, 11)
 
 
 def test_block_diagonal_and_complex_structure_identities():
