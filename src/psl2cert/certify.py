@@ -22,9 +22,11 @@ to actual surjectivity onto PSL2(F_l) is external to this artifact.
 Everything that does not depend on l is done once per distinct witness and
 process: `WitnessData.from_lpolynomial` is memoised on its `LPolynomial`,
 each witness holds its values as integers over one common denominator D
-(so an l costs one inverse of D per witness) and its JSON strings, and the
-checker parses each distinct (p, a, b) once.  Only the residues are computed
-per l, in certifying and in checking alike.
+and its JSON strings, and the checker parses each distinct (p, a, b) once.
+Only the residues are computed per l, in certifying and in checking alike.
+Each of the three branches takes its own inverse of D mod l per witness, so
+an l costs three inverses per witness, and a branch run alone still rejects
+a D that l divides.
 
 The recorded discriminant, and with it the cartan `separability` residue, is
 0 for every witness p = 1 (mod 4): P_p is a square there, so that residue

@@ -2,8 +2,8 @@
 runs, surface invariants, and small-l group identity checks.
 
 Every command writes deterministic bytes to stdout for identical flags;
-timing goes to stderr.  Exit codes: 0 success, 1 usage error, bad input or
-cache file, 2 shape-law violation, 3 any other arithmetic check failure
+timing goes to stderr.  Exit codes: 0 success, 1 usage error or bad input
+file, 2 shape-law violation, 3 any other arithmetic check failure
 (Weil/Hasse bound, trace kernel, a certificate that `verify` rejects, a
 `group-check` identity that prints FAIL), 4 out-of-range request
 (a field beyond the 2^20-entry character table, an `--ell-range` above
@@ -11,8 +11,8 @@ cache file, 2 shape-law violation, 3 any other arithmetic check failure
 `certify` is Inconclusive or errored.  A command returns 0, 3 or 5 for its
 own verdict and raises for anything else; `main` is the only mapping from
 an exception to an exit code, through EXIT_CODES, and prints one `error:`
-line.  The only handler inside a command is the one for `lpoly --cache`
-file errors.  `--json` and `--cache` files are replaced atomically.
+line.  The only files written are `certify --json` certificates; they are
+replaced atomically, and `verify` re-checks them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import sys
 import time
 
 from .certify import (
-    OutOfRangeError,
     RangeReport,
     certificate_to_dict,
     certify,
@@ -35,14 +34,12 @@ from .certify import (
 from .lpoly import (
     MODE_FE,
     MODE_FULL,
-    LPolynomial,
     ShapeViolation,
-    WeilBoundError,
     lpolynomial,
     shape_classify,
 )
-from .modarith import is_prime
-from .qpoly import frac_str, parse_frac
+from .modarith import OutOfRangeError, is_prime
+from .qpoly import QPolynomial, format_poly, frac_str
 from .tensor import (
     GaussianMat,
     block_diagonal_pair,
@@ -54,6 +51,7 @@ from .tensor import (
 from .ortho import identity, mat_mul, mat_neg
 from .weierstrass import (
     INF,
+    RationalFunction,
     bad_places,
     invariants,
     kodaira_table,
@@ -79,8 +77,6 @@ EXIT_CODES = (
 )
 
 GROUP_CHECK_MAX_ELL = 31  # breadth-first closure guard: |G| = 59520 at l = 31
-
-CACHE_VERSION = 1
 
 
 def _err(msg: str) -> None:
@@ -125,68 +121,12 @@ def _write_json(path: str, payload, stream: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
-# L-polynomial cache
-
-
-def load_cache(path: str) -> dict[int, LPolynomial]:
-    """Load and re-validate a cache file; entries that fail the coefficient
-    invariants or the shape law are rejected wholesale.  One
-    deterministically chosen entry is recomputed from scratch and must match
-    bit for bit."""
-    doc = _read_json(path)
-    if doc.get("version") != CACHE_VERSION:
-        raise ValueError(f"unsupported cache version {doc.get('version')!r}")
-    entries: dict[int, LPolynomial] = {}
-    for key, rec in doc.get("entries", {}).items():
-        p = int(key)
-        entries[p] = LPolynomial(p, parse_frac(rec["a"]), parse_frac(rec["b"]))
-        shape_classify(entries[p])
-    if entries:
-        rng = random.Random(",".join(sorted(doc["entries"])))
-        probe = rng.choice(sorted(entries))
-        if lpolynomial(probe) != entries[probe]:
-            raise ValueError(f"cache entry for p={probe} disagrees with recomputation")
-    return entries
-
-
-def save_cache(path: str, entries: dict[int, LPolynomial]) -> None:
-    doc = {
-        "version": CACHE_VERSION,
-        "entries": {
-            str(p): {"a": frac_str(lp.a), "b": frac_str(lp.b)} for p, lp in sorted(entries.items())
-        },
-    }
-    _write_json(path, doc)
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_lpoly(args) -> int:
-    p = args.p
-    mode = MODE_FULL if args.mode == "full" else MODE_FE
-    entries: dict[int, LPolynomial] = {}
-    if args.cache:
-        try:
-            entries = load_cache(args.cache)
-        except FileNotFoundError:
-            entries = {}
-        except (
-            OSError, ValueError, KeyError, TypeError, AttributeError,  # unreadable or malformed
-            ShapeViolation, WeilBoundError,  # an entry that is no possible P_p
-        ) as exc:
-            _err(f"cache {args.cache}: {exc}")
-            return EXIT_USAGE
-    if p in entries and mode == MODE_FE:
-        lp = entries[p]
-    else:
-        lp = lpolynomial(p, mode)
-        entries[p] = lp
-        if args.cache:
-            save_cache(args.cache, entries)
-    shape = shape_classify(lp)
-    print(f"P_{p} = {lp}; shape: {shape.describe()}")
+    lp = lpolynomial(args.p, MODE_FULL if args.mode == "full" else MODE_FE)
+    print(f"P_{args.p} = {lp}; shape: {shape_classify(lp).describe()}")
     return EXIT_OK
 
 
@@ -247,9 +187,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_invariants(_args) -> int:
-    from .qpoly import QPolynomial, format_poly
-    from .weierstrass import RationalFunction
-
     model = surface_model()
     inv = invariants(model)
     t = QPolynomial([0, 1])
@@ -325,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lpoly = sub.add_parser("lpoly", help="print P_p and its shape")
     p_lpoly.add_argument("--p", type=int, required=True)
     p_lpoly.add_argument("--mode", choices=["fe", "full"], default="fe")
-    p_lpoly.add_argument("--cache", default=None)
     p_lpoly.set_defaults(func=cmd_lpoly)
 
     p_scan = sub.add_parser("scan", help="CSV of shapes for all odd primes <= pmax")

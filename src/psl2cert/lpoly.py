@@ -22,11 +22,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import FieldCtx, OutOfRangeError, enum_irreducibles, fq_ctx, quad_char
-from .modarith import is_prime
+from .gf import FieldCtx, enum_irreducibles, fq_ctx, quad_char
+from .modarith import OutOfRangeError, is_prime
 from .qpoly import (
     Q,
     QPolynomial,
+    format_poly,
     rational_sqrt,
     series_exp,
     series_inverse,
@@ -205,8 +206,6 @@ class LPolynomial:
         return QPolynomial([1, self.a, self.b, self.a, 1])
 
     def __str__(self):
-        from .qpoly import format_poly
-
         return format_poly(self.as_qpoly(), "T")
 
 

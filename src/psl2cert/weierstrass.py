@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from .qpoly import Q, QPolynomial, poly_gcd
+from .qpoly import Q, QPolynomial, format_poly, poly_gcd
 
 INF = "oo"  # the place at infinity
 
@@ -96,8 +96,6 @@ class RationalFunction:
         return self.den.degree == 0
 
     def __repr__(self):
-        from .qpoly import format_poly
-
         if self.is_polynomial():
             return format_poly(self.num, "t")
         return f"({format_poly(self.num, 't')}) / ({format_poly(self.den, 't')})"

@@ -1,4 +1,4 @@
-"""CLI behaviour: output formats, exit codes, cache round-trips."""
+"""CLI behaviour: output formats, exit codes, atomic writes."""
 
 import importlib
 import json
@@ -15,7 +15,6 @@ from psl2cert.cli import (
     EXIT_SHAPE,
     EXIT_USAGE,
     EXIT_WEIL,
-    load_cache,
     main,
 )
 from psl2cert.lpoly import KernelCheckError, ShapeViolation
@@ -143,13 +142,15 @@ def test_field_beyond_character_table_is_out_of_range(capsys, argv):
         ["lpoly"],  # --p is required
         ["certify", "--ell", "11", "--jobs", "2"],  # not a certify flag
         ["scan", "--pmax", "x"],
+        ["lpoly", "--p", "3", "--cache", "{tmp}/cache.json"],  # a removed flag
     ],
 )
-def test_usage_errors_exit_usage(capsys, argv):
-    assert main(argv) == EXIT_USAGE
+def test_usage_errors_exit_usage(capsys, tmp_path, argv):
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -222,108 +223,33 @@ def test_group_check_failed_identity_exits_weil(capsys, monkeypatch):
     assert code == EXIT_WEIL
 
 
-def test_cache_roundtrip(capsys, tmp_path):
-    path = tmp_path / "lpoly-cache.json"
-    code, first = run(capsys, "lpoly", "--p", "5", "--cache", str(path))
-    assert code == EXIT_OK
-    doc = json.loads(path.read_text())
-    assert doc["version"] == 1
-    assert doc["entries"]["5"] == {"a": "-4/5", "b": "54/25"}
-
-    code, second = run(capsys, "lpoly", "--p", "5", "--cache", str(path))
-    assert code == EXIT_OK
-    assert first == second
-
-    entries = load_cache(str(path))
-    assert str(entries[5].a) == "-4/5"
-
-
-def test_cache_detects_corruption(tmp_path):
-    # a well-formed entry of the right shape that is simply not P_5: the
-    # load-time spot check recomputes and must reject it
-    path = tmp_path / "bad-cache.json"
-    path.write_text(
-        json.dumps({"version": 1, "entries": {"5": {"a": "4/5", "b": "54/25", "mode": "FE"}}})
-    )
-    with pytest.raises(ValueError):
-        load_cache(str(path))
-
-
-def test_cache_rejects_invalid_coefficients(tmp_path):
-    # denominators must be powers of p; this entry fails re-validation
-    path = tmp_path / "foreign-cache.json"
-    path.write_text(
-        json.dumps({"version": 1, "entries": {"5": {"a": "1/3", "b": "0/1", "mode": "FE"}}})
-    )
-    with pytest.raises(ValueError):
-        load_cache(str(path))
-
-
-# P_13 is right; 1 + T^4 passes LPolynomial's checks but is not a square.
-# The load-time recount probes p = 13 here, so only the shape check sees p = 5.
-SHAPE_VIOLATING_CACHE = json.dumps(
-    {
-        "version": 1,
-        "entries": {
-            "5": {"a": "0/1", "b": "0/1", "mode": "FE"},
-            "13": {"a": "28/13", "b": "534/169", "mode": "FE"},
-        },
-    }
-)
-
-
-def test_cache_rejects_shape_violation(tmp_path):
-    path = tmp_path / "shape-cache.json"
-    path.write_text(SHAPE_VIOLATING_CACHE)
-    with pytest.raises(ShapeViolation):
-        load_cache(str(path))
-
-
 @pytest.mark.parametrize(
-    "content",
+    "argv, name, fail_at",
     [
-        "not json\n",  # fails to parse
-        # well-formed but not P_5, nor a square: fails the shape check
-        json.dumps({"version": 1, "entries": {"5": {"a": "0/1", "b": "2/5", "mode": "FE"}}}),
-        SHAPE_VIOLATING_CACHE,
-        # well-formed and a square but not P_5: fails the load-time recount
-        json.dumps({"version": 1, "entries": {"5": {"a": "4/5", "b": "54/25", "mode": "FE"}}}),
-        # a root off the unit circle
-        json.dumps({"version": 1, "entries": {"5": {"a": "5/1", "b": "0/1", "mode": "FE"}}}),
-        "[]\n",  # JSON, but not a cache document
-        json.dumps({"version": 1, "entries": {"5": "1 + T^4"}}),
+        (["certify", "--ell", "19", "--json"], "dump", 1),
+        (["certify", "--ell-range", "11:200", "--json"], "dumps", 3),  # one dumps per certificate
     ],
+    ids=["single", "streamed"],
 )
-def test_lpoly_rejects_bad_cache_without_traceback(capsys, tmp_path, content):
-    path = tmp_path / "cache.json"
-    path.write_text(content)
-    assert main(["lpoly", "--p", "3", "--cache", str(path)]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert path.read_text() == content
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["certify", "--ell", "19", "--json"],
-        ["lpoly", "--p", "5", "--cache"],  # the cache already holds P_3
-    ],
-)
-def test_json_and_cache_writes_are_atomic(capsys, monkeypatch, tmp_path, argv):
+def test_json_writes_are_atomic(capsys, monkeypatch, tmp_path, argv, name, fail_at):
     path = tmp_path / "out.json"
-    assert main(["lpoly", "--p", "3", "--cache", str(path)]) == EXIT_OK
-    before = path.read_text()
+    assert main(["certify", "--ell", "11", "--json", str(path)]) == EXIT_OK
+    before = path.read_bytes()
+    capsys.readouterr()
 
-    def dump_then_fail(obj, fh, **kwargs):
-        fh.write('{"partial": ')
-        raise OSError("disk full")
+    real, calls = getattr(json, name), []
 
-    monkeypatch.setattr(json, "dump", dump_then_fail)
+    def fail_at_call(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == fail_at:
+            raise OSError("disk full")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(json, name, fail_at_call)
     assert main(argv + [str(path)]) == EXIT_USAGE
-    assert capsys.readouterr().err.endswith("error: disk full\n")
-    assert path.read_text() == before
+    assert len(calls) == fail_at
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -366,7 +292,7 @@ def test_ell_range_json_is_streamed_as_the_indented_list(capsys, tmp_path, ell_r
 
 
 @pytest.mark.parametrize("p", ("1", "-1"))
-def test_unit_p_in_a_certificate_or_cache_fails_without_hanging(capsys, tmp_path, p):
+def test_unit_p_in_a_certificate_fails_without_hanging(capsys, tmp_path, p):
     certs = tmp_path / "one.json"
     assert run(capsys, "certify", "--ell", "19", "--json", str(certs))[0] == EXIT_OK
     doc = json.loads(certs.read_text())
@@ -374,12 +300,6 @@ def test_unit_p_in_a_certificate_or_cache_fails_without_hanging(capsys, tmp_path
     certs.write_text(json.dumps(doc))
     child = run_python("-m", "psl2cert.cli", "verify", str(certs))
     assert (child.returncode, child.stdout) == (EXIT_WEIL, "verified 0/1\n")
-
-    cache = tmp_path / "cache.json"
-    cache.write_text(json.dumps({"version": 1, "entries": {p: {"a": "0/1", "b": "-2/9"}}}))
-    child = run_python("-m", "psl2cert.cli", "lpoly", "--p", "3", "--cache", str(cache))
-    assert (child.returncode, child.stdout) == (EXIT_USAGE, "")
-    assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("content", [None, "not json\n"])  # missing, unparsable
@@ -418,7 +338,6 @@ cli.invariants = lambda model: real(model)._replace(delta=real(model).c4)
 BAD_COMMAND_LINES = [
     (["certify", "--ell-range", "11:10000000000"], EXIT_RANGE, ""),
     (["verify", "{deep}"], EXIT_USAGE, ""),
-    (["lpoly", "--p", "3", "--cache", "{deep}"], EXIT_USAGE, ""),
     (["group-check", "--ell", "4"], EXIT_USAGE, ""),
     (["group-check", "--ell", "37"], EXIT_RANGE, ""),
     (["certify", "--ell-range", "11"], EXIT_USAGE, ""),
