@@ -10,15 +10,8 @@ from .certify import (
     certify_range,
     verify_certificate,
 )
-from .gf import FieldCtx, FqElem, enum_irreducibles, fq_ctx, quad_char
-from .lpoly import (
-    LPolynomial,
-    euler_product_truncated,
-    fiber_trace,
-    lpolynomial,
-    shape_classify,
-    trace_sum,
-)
+from .gf import FieldCtx, FqElem, fq_ctx, quad_char
+from .lpoly import LPolynomial, lpolynomial, shape_classify, trace_sum
 from .qpoly import QPolynomial, nth_power_poly, power_sums, reduce_mod
 
 __all__ = [
@@ -31,9 +24,6 @@ __all__ = [
     "WitnessData",
     "certify",
     "certify_range",
-    "enum_irreducibles",
-    "euler_product_truncated",
-    "fiber_trace",
     "fq_ctx",
     "lpolynomial",
     "nth_power_poly",

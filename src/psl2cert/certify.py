@@ -313,6 +313,8 @@ def certify_range(ell_min: int, ell_max: int, witnesses=(3, 5)) -> RangeReport:
         raise OutOfRangeError(f"need {MIN_ELL} <= ell_min <= ell_max")
     if ell_max > MAX_RANGE_ELL:
         raise OutOfRangeError(f"ell_max {ell_max} is above the {MAX_RANGE_ELL} range bound")
+    if not witnesses:
+        raise ValueError("witness set is empty")
     data = [WitnessData.from_prime(p) for p in witnesses]
     certs: list[Certificate] = []
     errors: list[tuple[int, str]] = []

@@ -114,9 +114,11 @@ def _write_json(path: str, payload, stream: bool = False) -> None:
                 json.dump(payload, fh, sort_keys=True, indent=1)
             fh.write("\n")
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # name the file asked for, not the temp file
+            raise type(exc)(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -156,6 +158,8 @@ def _cert_line(cert) -> str:
 
 
 def cmd_certify(args) -> int:
+    if args.json == "":
+        raise ValueError("--json needs a file name")
     t0 = time.perf_counter()
     witnesses = tuple(int(w) for w in args.witnesses.split(","))
     if args.ell is not None:

@@ -6,7 +6,9 @@ stored as coefficient tuples (constant coefficient first).  Each element
 also has an integer encoding sum(c_i * p^i), which the bulk point-counting
 kernel uses to index precomputed tables.  The quadratic-character table is
 -1 except at 0 (0) and at the encodings of the squares x*x (+1), which
-`squares` computes once per table.
+`squares` computes once per table.  Every field has q <= CHI_TABLE_MAX_Q:
+`field_size` refuses a larger one before a context or a modulus search
+starts, so the table is the one character path.
 
 Contexts are immutable and safe to share; `fq_ctx` returns a cached
 deterministic context whose modulus is the lexicographically smallest
@@ -23,7 +25,7 @@ import numpy as np
 from .modarith import OutOfRangeError, is_prime
 from .qpoly import power, trim
 
-CHI_TABLE_MAX_Q = 1 << 20  # full character table only below this size
+CHI_TABLE_MAX_Q = 1 << 20  # the largest field: every count reads its q-entry character table
 
 Poly = tuple[int, ...]  # coefficients over F_p, constant term first
 
@@ -103,14 +105,17 @@ def is_irreducible(m: Poly, p: int) -> bool:
     return _coprime(m, trim([c % p for c in frob]), p)
 
 
-def enum_irreducibles(p: int, d: int) -> list[Poly]:
-    """All monic irreducible polynomials of degree d over F_p, in
-    lexicographic order (constant coefficient compared last)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if not 1 <= d <= 4:
-        raise ValueError("degree out of range 1..4")
-    return [m for m in _monic_polys(p, d) if is_irreducible(m, p)]
+def field_size(p: int, k: int) -> int:
+    """q = p^k for an odd prime p and 1 <= k <= 4; OutOfRangeError when q
+    exceeds CHI_TABLE_MAX_Q, before any work on the field."""
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if not 1 <= k <= 4:
+        raise ValueError(f"extension degree must be 1..4, got {k}")
+    q = p**k
+    if q > CHI_TABLE_MAX_Q:
+        raise OutOfRangeError(f"field of size {p}^{k} = {q} exceeds the {CHI_TABLE_MAX_Q}-entry character table")
+    return q
 
 
 class FieldCtx:
@@ -119,17 +124,13 @@ class FieldCtx:
     __slots__ = ("p", "k", "q", "modulus", "_chi", "_squares")
 
     def __init__(self, p: int, k: int, modulus: Poly):
-        if not is_prime(p) or p == 2:
-            raise ValueError(f"p must be an odd prime, got {p}")
-        if not 1 <= k <= 4:
-            raise ValueError(f"extension degree must be 1..4, got {k}")
+        self.q = field_size(p, k)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
         if not is_irreducible(modulus, p):
             raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.k = k
-        self.q = p**k
         self.modulus = tuple(c % p for c in modulus)
         self._chi = None
         self._squares = None
@@ -150,15 +151,6 @@ class FieldCtx:
             raise ValueError("too many coefficients")
         coeffs += (0,) * (self.k - len(coeffs))
         return FqElem(self, coeffs)
-
-    def one(self) -> "FqElem":
-        return self.elem(1)
-
-    def gen(self) -> "FqElem":
-        """The residue class of t (a root of the modulus); k >= 2 only."""
-        if self.k == 1:
-            raise ValueError("prime field has no extension generator")
-        return self.elem((0, 1))
 
     def elements(self):
         for enc in range(self.q):
@@ -216,14 +208,9 @@ class FieldCtx:
     # -- quadratic character --------------------------------------------------
 
     def squares(self):
-        """Encodings of x*x for every x, indexed by encoding, for q <=
-        CHI_TABLE_MAX_Q.  Held for chi_table while it is unbuilt; it builds
-        from them and drops them, so the field is squared once per table."""
-        if self.q > CHI_TABLE_MAX_Q:
-            raise OutOfRangeError(
-                f"field of size {self.p}^{self.k} = {self.q} exceeds the "
-                f"{CHI_TABLE_MAX_Q}-entry character table"
-            )
+        """Encodings of x*x for every x, indexed by encoding.  Held for
+        chi_table while it is unbuilt; it builds from them and drops them, so
+        the field is squared once per table."""
         x = np.indices((self.p,) * self.k, dtype=np.int32).reshape(self.k, -1)[::-1]  # coeff_arrays of 0..q-1
         squares = self.encode_arrays(self.mul_arrays(x, x))
         if self._chi is None:
@@ -233,8 +220,7 @@ class FieldCtx:
     def chi_table(self):
         """numpy int8 array of chi over the whole field, indexed by encoding.
 
-        Built lazily (idempotent) from the squares of all elements; only
-        available when q <= CHI_TABLE_MAX_Q.
+        Built lazily (idempotent) from the squares of all elements.
         """
         if self._chi is None:
             squares = self.squares() if self._squares is None else self._squares
@@ -321,25 +307,22 @@ class FqElem:
 def fq_ctx(p: int, k: int) -> FieldCtx:
     """Deterministic context for F_{p^k}: the modulus is the
     lexicographically smallest monic irreducible of degree k over F_p.
+    A field above CHI_TABLE_MAX_Q is refused before the search.
 
     For k = 4 and p = 3 (mod 4) it skips the p binomials x^4 + c that come
     first: -1 is a nonsquare, so either -c = a^2 and x^4 + c = (x^2 - a)(x^2 + a),
     or c = b^2 and one of +-2b is a square s^2, and x^4 + b^2 = (x^2 + b)^2
-    - 2b x^2 = (x^2 - b)^2 + 2b x^2 is a difference of squares."""
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if not 1 <= k <= 4:
-        raise ValueError(f"extension degree must be 1..4, got {k}")
+    - 2b x^2 = (x^2 - b)^2 + 2b x^2 is a difference of squares.  Under the
+    table bound a quartic field has p <= 31, so the skip serves only those
+    p.  It stays because Rabin's test on the binomials costs Full mode at
+    p = 7 and 11 about 0.3 ms more together: fq_ctx(7, 4) 0.10 -> 0.18 ms
+    and fq_ctx(11, 4) 0.18 -> 0.36 ms (shared 2-core Xeon, Python 3.11)."""
+    field_size(p, k)
     candidates = itertools.islice(_monic_polys(p, k), p if k == 4 and p % 4 == 3 else 0, None)
     return FieldCtx(p, k, next(m for m in candidates if is_irreducible(m, p)))  # t when k = 1
 
 
 def quad_char(ctx: FieldCtx, v) -> int:
     """Quadratic character of F_q: 0 at zero, +1 on nonzero squares, -1
-    otherwise.  Table lookup when q is small, else v^((q-1)/2)."""
-    v = ctx.elem(v)
-    if v.is_zero():
-        return 0
-    if ctx.q <= CHI_TABLE_MAX_Q:
-        return int(ctx.chi_table()[ctx.encode(v)])
-    return 1 if v ** ((ctx.q - 1) // 2) == ctx.one() else -1
+    otherwise, read from the field's table (chi[0] = 0)."""
+    return int(ctx.chi_table()[ctx.encode(ctx.elem(v))])

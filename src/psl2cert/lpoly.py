@@ -13,6 +13,10 @@ a failure raises, with no fallback.  The L-series is recovered from A_1, A_2
 through exp(sum A_k T^k / k); the functional equation fills in the T^3 and
 T^4 coefficients, and a "full direct" mode, up to FULL_DIRECT_MAX_P, recounts
 over the degree-3 and degree-4 extensions to confirm them independently.
+A field above the character table (q > 2^20) is refused with
+OutOfRangeError before any work: `fq_ctx` refuses it before its modulus
+search, and `lpolynomial` counts over F_{p^2} first.  The slow oracles (a
+per-fiber trace, the closed-point Euler product) live in the tests.
 """
 
 from __future__ import annotations
@@ -22,17 +26,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import FieldCtx, enum_irreducibles, fq_ctx, quad_char
+from .gf import FieldCtx, fq_ctx, quad_char
 from .modarith import OutOfRangeError, is_prime
-from .qpoly import (
-    Q,
-    QPolynomial,
-    format_poly,
-    rational_sqrt,
-    series_exp,
-    series_inverse,
-    series_mul,
-)
+from .qpoly import Q, QPolynomial, format_poly, rational_sqrt, series_exp
 
 MODE_FE = "FE"
 MODE_FULL = "Full"
@@ -85,16 +81,6 @@ def _fiber_trace_direct(ctx: FieldCtx, enc: int, grid, pair) -> int:
     return a
 
 
-def fiber_trace(p: int, k: int, t0) -> int:
-    """Trace a = q + 1 - #E_{t0}(F_q) for the fiber at t0 in F_{p^k} (direct).
-
-    t0 may be an FqElem of fq_ctx(p, k), an int (prime-subfield value) or a
-    coefficient sequence.
-    """
-    ctx = fq_ctx(p, k)
-    return _fiber_trace_direct(ctx, ctx.encode(ctx.elem(t0)), *_chi_grids(ctx)[:2])
-
-
 def _correlation(grid, pair) -> np.ndarray:
     """S(c) = sum_x pair(x) chi(x + c) for every c, indexed by encoding,
     rounded to exact integers."""
@@ -111,9 +97,10 @@ def _correlation(grid, pair) -> np.ndarray:
 
 def fiber_traces(p: int, k: int) -> np.ndarray:
     """Traces at every t0 in F_{p^k} by the FFT kernel, indexed by encoding;
-    0 at the singular parameters 0, 1, -1."""
+    0 at the singular parameters 0, 1, -1.  fq_ctx refuses a field above
+    the character-table bound before any work."""
     ctx = fq_ctx(p, k)
-    square = ctx.squares()  # first: it refuses a field too large for q-sized arrays
+    square = ctx.squares()
     grid, pair, chi_c = _chi_grids(ctx)  # the table is built from those squares
     traces = -chi_c * _correlation(grid, pair)[square]  # chi_c is 0 exactly at 0, 1, -1
     over = np.flatnonzero(traces * traces > 4 * ctx.q)
@@ -130,31 +117,6 @@ def fiber_traces(p: int, k: int) -> np.ndarray:
 def trace_sum(p: int, k: int) -> int:
     """A_k = sum of fiber traces over all good t0 in F_{p^k}."""
     return int(fiber_traces(p, k).sum())
-
-
-def euler_product_truncated(p: int, max_degree: int) -> list[int]:
-    """The L-series as a literal Euler product over closed points of degree
-    <= max_degree, expanded to that order; exact integer coefficients.
-
-    Closed points of the parameter line are monic irreducibles; the three
-    linear polynomials at the singular parameters contribute no factor.
-    Each remaining point is handled in its own residue field, which keeps
-    this independent of the single-field aggregation done by trace_sum.
-    """
-    if not 1 <= max_degree <= 4:
-        raise ValueError("max_degree must be 1..4")
-    series = [1] + [0] * max_degree
-    for d in range(1, max_degree + 1):
-        for modulus in enum_irreducibles(p, d):
-            if d == 1 and (-modulus[0]) % p in (0, 1, p - 1):
-                continue  # singular parameter
-            ctx = FieldCtx(p, d, modulus)
-            t_bar = (-modulus[0]) % p if d == 1 else ctx.encode(ctx.gen())
-            a_x = _fiber_trace_direct(ctx, t_bar, *_chi_grids(ctx)[:2])
-            local = [1] + [0] * (max_degree + d)  # 1 - a_x T^d + p^d T^(2d)
-            local[d], local[2 * d] = -a_x, p**d
-            series = series_mul(series, series_inverse(local, max_degree), max_degree)
-    return series
 
 
 def roots_on_unit_circle(a: Fraction, b: Fraction) -> bool:
@@ -224,8 +186,8 @@ def lpolynomial(p: int, mode: str = MODE_FE) -> LPolynomial:
     if mode == MODE_FULL and p > FULL_DIRECT_MAX_P:
         raise OutOfRangeError(f"full-direct mode limited to p <= {FULL_DIRECT_MAX_P}")
 
+    a2 = trace_sum(p, 2)  # first: a field F_{p^2} above the table bound is refused before any count
     a1 = trace_sum(p, 1)
-    a2 = trace_sum(p, 2)
     coeffs = series_exp([Q(0), Q(a1), Q(a2, 2)], 2)
     if coeffs[1].denominator != 1 or coeffs[2].denominator != 1:
         raise HasseBoundError(f"non-integral L-series coefficients for p={p}")

@@ -228,26 +228,6 @@ def reduce_mod(x: Fraction | int, ell: int) -> int:
 # truncated power series (lists of coefficients, index = degree)
 
 
-def series_mul(a: Sequence, b: Sequence, order: int) -> list:
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai:
-            for j, bj in enumerate(b[: order + 1 - i]):
-                out[i + j] += ai * bj
-    return out
-
-
-def series_inverse(a: Sequence, order: int) -> list:
-    """Multiplicative inverse of a power series with a[0] = 1."""
-    if a[0] != 1:
-        raise ValueError("series inverse requires unit constant term 1")
-    a = list(a) + [0] * order
-    inv = [1] + [0] * order
-    for n in range(1, order + 1):
-        inv[n] = -sum(a[j] * inv[n - j] for j in range(1, n + 1))
-    return inv
-
-
 def series_exp(s: Sequence[Fraction], order: int) -> list[Fraction]:
     """exp of a series with zero constant term, to the given order."""
     if s and s[0] != 0:

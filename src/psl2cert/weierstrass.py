@@ -180,13 +180,6 @@ class WeierstrassModel:
     def from_coeffs(a1=0, a2=0, a3=0, a4=0, a6=0) -> "WeierstrassModel":
         return WeierstrassModel(*(map(_coerce, (a1, a2, a3, a4, a6))))
 
-    @staticmethod
-    def from_quadratic_twist(c, a, b, d=0) -> "WeierstrassModel":
-        """Clear c(t) y^2 = x^3 + a x^2 + b x + d to long form via
-        (x, y) -> (c x, c^2 y)."""
-        c, a, b, d = map(_coerce, (c, a, b, d))
-        return WeierstrassModel.from_coeffs(a2=a * c, a4=b * c**2, a6=d * c**3)
-
 
 @lru_cache(maxsize=8)
 def invariants(model: WeierstrassModel) -> Invariants:
@@ -283,12 +276,3 @@ def surface_model() -> WeierstrassModel:
     a2 = QPolynomial([0, -1, 0, 0, 0, 1])
     a4 = QPolynomial([0, 0, 0, 0, 1, 0, -2, 0, 1])
     return WeierstrassModel.from_coeffs(a2=a2, a4=a4)
-
-
-def surface_model_from_fibration() -> WeierstrassModel:
-    """The same surface, cleared from the fibration form
-    t(t-1)(t+1) y^2 = x (x+1) (x+t^2)."""
-    c = QPolynomial([0, -1, 0, 1])  # t^3 - t
-    a = QPolynomial([1, 0, 1])  # coefficient of x^2 in x(x+1)(x+t^2)
-    b = QPolynomial([0, 0, 1])  # coefficient of x
-    return WeierstrassModel.from_quadratic_twist(c, a, b)

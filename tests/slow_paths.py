@@ -19,15 +19,29 @@
 - the full lexicographic modulus search, binomials included, for
   `gf.fq_ctx`, which skips the binomials of degree 4 when p = 3 (mod 4);
 - matrix products and the bilinear pairing as generator sums over index
-  pairs, for the `map(mul, ...)` sums of `ortho`.
+  pairs, for the `map(mul, ...)` sums of `ortho`;
+- the L-series as a literal Euler product over the closed points of degree
+  <= 4, each fiber counted in its own residue field (with the enumeration
+  of monic irreducibles and the truncated series product and inverse it
+  needs), for the single-field trace sums of `lpoly`;
+- the trace of one fiber by a direct sum, for the FFT kernel
+  `lpoly.fiber_traces`;
+- the surface cleared from its fibration form t(t-1)(t+1) y^2 =
+  x (x+1) (x+t^2) by a quadratic twist, for the long model
+  `weierstrass.surface_model`.
+
+Only the tests import this module; nothing under `src/` does.
 """
 
 import itertools
 from fractions import Fraction as Q
+from typing import Sequence
 
 import numpy as np
 
-from psl2cert.gf import _monic_polys, is_irreducible, poly_mul
+from psl2cert.gf import FieldCtx, Poly, _monic_polys, fq_ctx, is_irreducible, poly_mul
+from psl2cert.lpoly import _chi_grids, _fiber_trace_direct
+from psl2cert.modarith import is_prime
 
 from psl2cert.ortho import (
     GRID,
@@ -41,7 +55,7 @@ from psl2cert.ortho import (
 )
 from psl2cert.qpoly import QPolynomial, reduce_mod
 from psl2cert import tensor
-from psl2cert.weierstrass import RationalFunction, WeierstrassModel, invariants, valuation
+from psl2cert.weierstrass import RationalFunction, WeierstrassModel, _coerce, invariants, valuation
 
 
 def group_order_tuple_bfs(generators, ell: int) -> int:
@@ -221,7 +235,7 @@ def fiber_trace_encoded(ctx, enc: int) -> int:
     def chi_shifted(v):  # chi(x + v) for every x
         return chi[ctx.encode_arrays((x + np.array(v.coeffs, dtype=x.dtype)[:, None]) % ctx.p)]
 
-    s = int((chi * chi_shifted(ctx.one()).astype(np.int64) * chi_shifted(c2)).sum())
+    s = int((chi * chi_shifted(ctx.elem(1)).astype(np.int64) * chi_shifted(c2)).sum())
     return -int(chi[ctx.encode(c2 * t0 - t0)]) * s
 
 
@@ -262,3 +276,84 @@ def pair_double_sum(form, v, w) -> int:
     """<v, w> as the double sum of v_i g_ij w_j."""
     n = len(form.gram)
     return sum(v[i] * form.gram[i][j] * w[j] for i in range(n) for j in range(n)) % form.ell
+
+
+def enum_irreducibles(p: int, d: int) -> list[Poly]:
+    """All monic irreducible polynomials of degree d over F_p, in
+    lexicographic order (constant coefficient compared last)."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if not 1 <= d <= 4:
+        raise ValueError("degree out of range 1..4")
+    return [m for m in _monic_polys(p, d) if is_irreducible(m, p)]
+
+
+def series_mul(a: Sequence, b: Sequence, order: int) -> list:
+    out = [0] * (order + 1)
+    for i, ai in enumerate(a[: order + 1]):
+        if ai:
+            for j, bj in enumerate(b[: order + 1 - i]):
+                out[i + j] += ai * bj
+    return out
+
+
+def series_inverse(a: Sequence, order: int) -> list:
+    """Multiplicative inverse of a power series with a[0] = 1."""
+    if a[0] != 1:
+        raise ValueError("series inverse requires unit constant term 1")
+    a = list(a) + [0] * order
+    inv = [1] + [0] * order
+    for n in range(1, order + 1):
+        inv[n] = -sum(a[j] * inv[n - j] for j in range(1, n + 1))
+    return inv
+
+
+def fiber_trace(p: int, k: int, t0) -> int:
+    """Trace a = q + 1 - #E_{t0}(F_q) for the fiber at t0 in F_{p^k} (direct).
+
+    t0 may be an FqElem of fq_ctx(p, k), an int (prime-subfield value) or a
+    coefficient sequence.
+    """
+    ctx = fq_ctx(p, k)
+    return _fiber_trace_direct(ctx, ctx.encode(ctx.elem(t0)), *_chi_grids(ctx)[:2])
+
+
+def euler_product_truncated(p: int, max_degree: int) -> list[int]:
+    """The L-series as a literal Euler product over closed points of degree
+    <= max_degree, expanded to that order; exact integer coefficients.
+
+    Closed points of the parameter line are monic irreducibles; the three
+    linear polynomials at the singular parameters contribute no factor.
+    Each remaining point is handled in its own residue field, which keeps
+    this independent of the single-field aggregation done by trace_sum.
+    """
+    if not 1 <= max_degree <= 4:
+        raise ValueError("max_degree must be 1..4")
+    series = [1] + [0] * max_degree
+    for d in range(1, max_degree + 1):
+        for modulus in enum_irreducibles(p, d):
+            if d == 1 and (-modulus[0]) % p in (0, 1, p - 1):
+                continue  # singular parameter
+            ctx = FieldCtx(p, d, modulus)
+            t_bar = (-modulus[0]) % p if d == 1 else ctx.encode(ctx.elem((0, 1)))
+            a_x = _fiber_trace_direct(ctx, t_bar, *_chi_grids(ctx)[:2])
+            local = [1] + [0] * (max_degree + d)  # 1 - a_x T^d + p^d T^(2d)
+            local[d], local[2 * d] = -a_x, p**d
+            series = series_mul(series, series_inverse(local, max_degree), max_degree)
+    return series
+
+
+def from_quadratic_twist(c, a, b, d=0) -> WeierstrassModel:
+    """Clear c(t) y^2 = x^3 + a x^2 + b x + d to long form via
+    (x, y) -> (c x, c^2 y)."""
+    c, a, b, d = map(_coerce, (c, a, b, d))
+    return WeierstrassModel.from_coeffs(a2=a * c, a4=b * c**2, a6=d * c**3)
+
+
+def surface_model_from_fibration() -> WeierstrassModel:
+    """The same surface, cleared from the fibration form
+    t(t-1)(t+1) y^2 = x (x+1) (x+t^2)."""
+    c = QPolynomial([0, -1, 0, 1])  # t^3 - t
+    a = QPolynomial([1, 0, 1])  # coefficient of x^2 in x(x+1)(x+t^2)
+    b = QPolynomial([0, 0, 1])  # coefficient of x
+    return from_quadratic_twist(c, a, b)

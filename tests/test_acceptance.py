@@ -15,7 +15,6 @@ from psl2cert.lpoly import (
     MODE_FULL,
     BiquadraticShape,
     SquareShape,
-    euler_product_truncated,
     lpolynomial,
     shape_classify,
     trace_sum,
@@ -55,7 +54,7 @@ from psl2cert.weierstrass import (
     pole_order_lcm,
     surface_model,
 )
-from slow_paths import reduce_poly_mod, trace_square_invariant
+from slow_paths import euler_product_truncated, reduce_poly_mod, trace_square_invariant
 
 
 def report(number, description, checks, detail=""):

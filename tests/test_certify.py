@@ -233,6 +233,13 @@ def test_certify_range_validation():
         certify_range(13, 11)
 
 
+def test_certify_range_refuses_an_empty_witness_set_before_the_sieve(monkeypatch):
+    # once for the whole range, not one "witness set is empty" error per l
+    monkeypatch.setattr(certify_module, "primes_in_range", lambda lo, hi: pytest.fail("sieved"))
+    with pytest.raises(ValueError, match="^witness set is empty$"):
+        certify_range(11, 60, ())
+
+
 def test_certify_range_matches_single_certify():
     # the range path reuses one set of witness data; certify() rebuilds it
     report = certify_range(11, 200)

@@ -224,31 +224,42 @@ def test_group_check_failed_identity_exits_weil(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, name, fail_at",
+    "argv, name, fail_at, err",
     [
-        (["certify", "--ell", "19", "--json"], "dump", 1),
-        (["certify", "--ell-range", "11:200", "--json"], "dumps", 3),  # one dumps per certificate
+        (["certify", "--ell", "19", "--json", "{tmp}/out.json"], "dump", 1, "disk full"),
+        # one dumps per certificate
+        (["certify", "--ell-range", "11:200", "--json", "{tmp}/out.json"], "dumps", 3, "disk full"),
+        # the temp file cannot be opened; the error names the target
+        (
+            ["certify", "--ell", "19", "--json", "{tmp}/none/out.json"],
+            None,
+            0,
+            "[Errno 2] No such file or directory: '{tmp}/none/out.json'",
+        ),
     ],
-    ids=["single", "streamed"],
+    ids=["single", "streamed", "no-directory"],
 )
-def test_json_writes_are_atomic(capsys, monkeypatch, tmp_path, argv, name, fail_at):
+def test_json_writes_are_atomic(capsys, monkeypatch, tmp_path, argv, name, fail_at, err):
     path = tmp_path / "out.json"
     assert main(["certify", "--ell", "11", "--json", str(path)]) == EXIT_OK
     before = path.read_bytes()
     capsys.readouterr()
 
-    real, calls = getattr(json, name), []
+    calls = []
+    if name:
+        real = getattr(json, name)
 
-    def fail_at_call(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == fail_at:
-            raise OSError("disk full")
-        return real(*args, **kwargs)
+        def fail_at_call(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == fail_at:
+                raise OSError("disk full")
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(json, name, fail_at_call)
-    assert main(argv + [str(path)]) == EXIT_USAGE
+        monkeypatch.setattr(json, name, fail_at_call)
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == EXIT_USAGE
     assert len(calls) == fail_at
-    assert capsys.readouterr().err == "error: disk full\n"
+    stderr = capsys.readouterr().err
+    assert stderr == f"error: {err.format(tmp=tmp_path)}\n" and ".tmp" not in stderr
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
 
@@ -345,6 +356,7 @@ BAD_COMMAND_LINES = [
     (["lpoly", "--p", "1031"], EXIT_RANGE, ""),
     (["lpoly", "--p", "100003"], EXIT_RANGE, ""),
     (["certify", "--ell", "11", "--witnesses", "3,100003"], EXIT_RANGE, ""),
+    (["certify", "--ell", "11", "--json", ""], EXIT_USAGE, ""),  # refused before certifying
     (["invariants"], EXIT_WEIL, WRONG_DELTA),
     (["certify", "--ell", str(PSI_12)], EXIT_USAGE, ""),  # composite: not prime
     (["certify", "--ell", str(PSI_13)], EXIT_RANGE, ""),  # beyond exact primality

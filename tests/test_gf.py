@@ -1,13 +1,16 @@
-"""Finite field contexts, quadratic characters, irreducible enumeration."""
+"""Finite field contexts, the table bound, quadratic characters, irreducibility."""
 
 import random
+from functools import partial
 
 import numpy as np
 import pytest
 
-from psl2cert.gf import FieldCtx, _monic_polys, enum_irreducibles, fq_ctx, is_irreducible, poly_eval, quad_char
-from psl2cert.modarith import primes_in_range
-from slow_paths import fq_modulus_full_search, reducible_monics
+from psl2cert import gf
+from psl2cert.gf import FieldCtx, _monic_polys, fq_ctx, is_irreducible, poly_eval, quad_char
+from psl2cert.lpoly import MODE_FE, MODE_FULL, fiber_traces, lpolynomial, trace_sum
+from psl2cert.modarith import OutOfRangeError, primes_in_range
+from slow_paths import enum_irreducibles, fq_modulus_full_search, reducible_monics
 
 
 def brute_force_irreducible_quadratics(p):
@@ -51,7 +54,7 @@ def test_field_axioms_small():
     ctx = fq_ctx(3, 2)
     elems = list(ctx.elements())
     assert len(elems) == 9
-    one = ctx.one()
+    one = ctx.elem(1)
     for a in elems:
         if not a.is_zero():
             assert a * a.inverse() == one
@@ -107,7 +110,7 @@ def test_chi_table_matches_power_path():
             if ctx.q > 5**4:
                 break
             half = (ctx.q - 1) // 2
-            euler = [0] + [1 if a**half == ctx.one() else -1 for a in list(ctx.elements())[1:]]
+            euler = [0] + [1 if a**half == ctx.elem(1) else -1 for a in list(ctx.elements())[1:]]
             assert ctx.chi_table().tolist() == euler, (p, k)
 
 
@@ -165,31 +168,36 @@ def test_is_irreducible_matches_every_product_of_monic_factors(p, degrees):
 def test_extension_arithmetic_matches_modulus():
     # in F_9 = F_3[t]/(t^2+1) the generator squares to -1
     ctx = fq_ctx(3, 2)
-    t = ctx.gen()
+    t = ctx.elem((0, 1))
     assert t * t == ctx.elem(-1)
-    assert (t * t * t * t) == ctx.one()
+    assert (t * t * t * t) == ctx.elem(1)
 
 
-def test_quad_char_power_path_above_table_bound():
-    # q = 1031^2 > 2^20: no table, the Euler-criterion power is used
-    ctx = fq_ctx(1031, 2)
-    assert ctx.q > 1 << 20
-    assert quad_char(ctx, 0) == 0
-    assert quad_char(ctx, 1) == 1
-    for coeffs in [(3, 5), (7, 1), (100, 900)]:
-        v = ctx.elem(coeffs)
-        assert quad_char(ctx, v * v) == 1
-        assert quad_char(ctx, v) in (-1, 1)
-    # multiplicativity on a few pairs
-    a, b = ctx.elem((2, 3)), ctx.elem((11, 4))
-    assert quad_char(ctx, a) * quad_char(ctx, b) == quad_char(ctx, a * b)
+def test_field_above_table_bound_is_refused(monkeypatch):
+    # q = p^k > 2^20: every entry point raises before a single irreducibility
+    # test, so no modulus search runs (a root scan alone costs O(p))
+    calls = []
+    monkeypatch.setattr(gf, "is_irreducible", lambda m, p: calls.append(m) or is_irreducible(m, p))
+    for p, k in [(1031, 2), (10007, 3), (1000003, 2), (37, 4)]:
+        refusal = f"field of size {p}^{k} = {p**k} exceeds the {gf.CHI_TABLE_MAX_Q}-entry character table"
+        binomial = (1,) + (0,) * (k - 1) + (1,)
+        for call in (fq_ctx, partial(FieldCtx, modulus=binomial), trace_sum, fiber_traces):
+            with pytest.raises(OutOfRangeError) as excinfo:
+                call(p, k)
+            assert str(excinfo.value) == refusal, call
+        with pytest.raises(OutOfRangeError) as excinfo:
+            lpolynomial(p, MODE_FE if k == 2 else MODE_FULL)  # Full mode: refused from p = 37 on
+        assert k > 2 or str(excinfo.value) == refusal
+    assert calls == []
 
 
 def test_quartic_modulus_skips_only_reducible_binomials():
     # for p = 3 (mod 4) fq_ctx starts past the binomials x^4 + c, and the
-    # modulus must be the full search's; for p = 1 (mod 4) some binomial is
-    # irreducible, so the skip must stay off there
+    # modulus must be the full search's (every quartic field under the table
+    # bound, p <= 31); for p = 1 (mod 4) some binomial is irreducible, so the
+    # skip must stay off there
     for p in primes_in_range(3, 200):
-        assert fq_ctx.__wrapped__(p, 4).modulus == fq_modulus_full_search(p, 4), p
+        if p**4 <= gf.CHI_TABLE_MAX_Q:
+            assert fq_ctx.__wrapped__(p, 4).modulus == fq_modulus_full_search(p, 4), p
         binomials = [(c, 0, 0, 0, 1) for c in range(p)]
         assert any(map(is_irreducible, binomials, [p] * p)) == (p % 4 == 1), p

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_python
-from slow_paths import chi_cubic_by_products, fiber_trace_encoded
+from slow_paths import chi_cubic_by_products, euler_product_truncated, fiber_trace, fiber_trace_encoded
 from psl2cert import lpoly as lpoly_module
 from psl2cert.gf import fq_ctx, quad_char
 from psl2cert.lpoly import (
@@ -21,8 +21,6 @@ from psl2cert.lpoly import (
     ShapeViolation,
     SquareShape,
     WeilBoundError,
-    euler_product_truncated,
-    fiber_trace,
     fiber_traces,
     lpolynomial,
     roots_on_unit_circle,

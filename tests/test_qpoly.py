@@ -15,11 +15,9 @@ from psl2cert.qpoly import (
     reduce_mod,
     resultant,
     series_exp,
-    series_inverse,
     series_log,
-    series_mul,
 )
-from slow_paths import nth_power_poly_recurrence, power_sums_recurrence
+from slow_paths import nth_power_poly_recurrence, power_sums_recurrence, series_inverse, series_mul
 
 P3 = QPolynomial([1, 0, Q(-2, 9), 0, 1])
 P5 = QPolynomial([1, Q(-2, 5), 1]) ** 2

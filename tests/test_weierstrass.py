@@ -20,10 +20,9 @@ from psl2cert.weierstrass import (
     pole_order_lcm,
     pole_orders,
     surface_model,
-    surface_model_from_fibration,
     valuation,
 )
-from slow_paths import model_at_infinity, valuations_at_infinity
+from slow_paths import model_at_infinity, surface_model_from_fibration, valuations_at_infinity
 
 T = QPolynomial([0, 1])
 ONE = QPolynomial([1])
