@@ -161,12 +161,18 @@ def cmd_certify(args) -> int:
     if args.json == "":
         raise ValueError("--json needs a file name")
     t0 = time.perf_counter()
-    witnesses = tuple(int(w) for w in args.witnesses.split(","))
+    try:
+        witnesses = tuple(map(int, args.witnesses.split(",")))
+    except ValueError:
+        raise ValueError(f"--witnesses takes a comma-separated list of integers, got {args.witnesses!r}") from None
     if args.ell is not None:
         report = RangeReport((certify(args.ell, witnesses),), ())
     else:
-        lo, _, hi = args.ell_range.partition(":")
-        report = certify_range(int(lo), int(hi), witnesses)
+        try:
+            lo, hi = map(int, args.ell_range.split(":"))  # a wrong count is a ValueError too
+        except ValueError:
+            raise ValueError(f"--ell-range takes LO:HI, got {args.ell_range!r}") from None
+        report = certify_range(lo, hi, witnesses)
     for cert in report:
         print(_cert_line(cert))
     for ell, msg in report.errors:

@@ -3,15 +3,10 @@ Cartan-Dieudonne factorization, the spinor norm, and Omega membership.
 It also holds the package's n x n matrix arithmetic over F_l, which the
 SL2 (x) SL2 model in `tensor` uses for its 2x2 factors.
 
-The factorization is constructive and uses at most 4 reflections.  Its
-candidate vectors come from the coordinate grid {0..4}^4: every polynomial
-it must avoid has degree at most 4 in each coordinate, and l >= 11, so by
-the Combinatorial Nullstellensatz a nonzero one is nonzero on the grid.
-Each recursion step scores the grid in chunks of CHUNK points, one numpy
-pass per chunk in itertools.product order, and stops at the first chunk
-that holds a pass; the first passing point is kept.  Each OrthMatrix is
-factored once: its vectors are cached as `OrthMatrix.reflections`, which
-`cartan_dieudonne` copies into a fresh list.
+Forms exist only for primes 11 <= l <= MAX_ELL, where the factorization is
+exact in int64; a larger l is refused with OutOfRangeError before any work.
+The factorization (see `cartan_dieudonne`) is constructive, uses at most 4
+reflections, and runs once per OrthMatrix, which caches its vectors.
 
 The spinor norm has two independent evaluation paths: det(I + A) when that
 determinant is nonzero, and otherwise the product of the square classes
@@ -29,7 +24,7 @@ from operator import mul
 
 import numpy as np
 
-from .modarith import is_prime, legendre
+from .modarith import OutOfRangeError, is_prime, legendre
 from .qpoly import Q, reduce_mod, series_exp
 
 Mat = tuple[tuple[int, ...], ...]
@@ -37,7 +32,11 @@ Vec = tuple[int, ...]
 
 DIM = 4
 GRID = 5  # candidate coordinates 0..4: one more than the degree of Q(x) Q(mx - x)
-_IDENTITY = np.eye(DIM, dtype=np.int64)
+# The largest l with 16 l^3 < 2^63.  The largest entries _factor builds are
+# pairings of residue vectors read off the unreduced x G, whose entries are
+# below 4 l^2, so they are below 16 l^3 and exact in int64.
+MAX_ELL = 832_255
+_IDENTITY = np.eye(DIM, dtype=np.int64)  # the basis of the top-level step
 _ONES = np.ones(DIM, dtype=np.int64)  # x @ _ONES sums the rows of x
 
 
@@ -123,6 +122,8 @@ class GramForm:
     gram: Mat
 
     def __post_init__(self):
+        if self.ell > MAX_ELL:
+            raise OutOfRangeError(f"l = {self.ell} is above the {MAX_ELL} bound of exact int64 arithmetic")
         if not is_prime(self.ell) or self.ell < 11:
             raise ValueError(f"l must be a prime >= 11, got {self.ell}")
         g = mat_reduce(self.gram, self.ell)
@@ -137,14 +138,6 @@ class GramForm:
 
     def norm(self, v: Vec) -> int:
         return self.pair(v, v)
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The identity and the Gram matrix as _factor reads them (and never
-        writes): int64 when 16 l^3 < 2^63, since every entry in _factor stays
-        under 16 l^3 before its reduction, else Python integers (object)."""
-        dtype = np.int64 if 16 * self.ell**3 < 2**63 else object
-        return np.eye(DIM, dtype=dtype), np.array(self.gram, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -174,8 +167,8 @@ class OrthMatrix:
     @cached_property
     def reflections(self) -> tuple[Vec, ...]:
         """The vectors of cartan_dieudonne(self), factored once."""
-        basis, g = self.form._arrays
-        return tuple(_factor(np.array(self.mat, dtype=g.dtype), basis, g, self.form.ell))
+        m, g = (np.array(a, dtype=np.int64) for a in (self.mat, self.form.gram))
+        return tuple(_factor(m, _IDENTITY, g, self.form.ell))
 
 
 def reflection_matrix(v: Vec, form: GramForm) -> Mat:
@@ -205,8 +198,8 @@ def _grid(k: int) -> np.ndarray:
 
 # Grid points scored per numpy pass.  On 147 random and unipotent tensor-form
 # matrices at l = 11..31 the first passing index was 30-32 at k = 4 (7 fell
-# through), at most 26 at k = 3, at most 6 at k = 2 and 1 at k = 1, so one
-# chunk almost always holds the first pass.
+# through), at most 26 at k = 3 and at most 6 at k = 2, so one chunk almost
+# always holds the first pass.  At k = 1 it is always 1, so _factor skips it.
 CHUNK = 64
 
 
@@ -220,10 +213,12 @@ def _reflect(m: np.ndarray, v: np.ndarray, g: np.ndarray, ell: int) -> np.ndarra
 def _factor(m: np.ndarray, basis: np.ndarray, g: np.ndarray, ell: int) -> list[Vec]:
     """Reflection vectors for m, which preserves the nondegenerate span V
     of the rows of basis and fixes V^perp pointwise.  Every array holds
-    residues mod l, on the dtype of GramForm._arrays."""
+    int64 residues mod l."""
     diff = (m - _IDENTITY) % ell
     if not diff.any():
         return []
+    if len(basis) == 1:  # m b = -b (m = 1 returned above): the scan would keep x = b
+        return [tuple((diff @ basis[0] % ell).tolist())]  # w = m b - b = -2b
     coeffs = _grid(len(basis))
     first = None  # the first anisotropic x, for the fall-through
     for start in range(0, len(coeffs), CHUNK):
@@ -266,19 +261,15 @@ def cartan_dieudonne(m: OrthMatrix) -> list[Vec]:
     anisotropic x with m x = x, or with w = m x - x anisotropic and emit w;
     either way recurse on x^perp.  When no such x exists, im(m - 1) is a
     totally isotropic plane, and one reflection first gives det -1, which
-    then needs at most 3.  Candidates x come from the grid {0..4}^dim: the
-    polynomial Q(x) Q(m x - x) has degree at most 4 in each coordinate and
-    l >= 11 > 4, so by the Combinatorial Nullstellensatz it vanishes on the
-    grid only if it vanishes identically.  Each step scores the grid
-    {0..4}^k (k = dim V) CHUNK points per numpy pass, in itertools.product
-    order, and stops at the first chunk that holds a passing candidate; it
-    keeps the first one, so the vectors do not depend on CHUNK.  The matrix
-    is converted once, and the basis and Gram matrix once per form, to int64
-    when 16 l^3 < 2^63 and to Python integers (object dtype) otherwise, so
-    the vectors do not depend on the dtype either; each reflection is
-    applied as a rank-one update of the array.  The vectors are computed
-    once per matrix and kept as m.reflections; each call returns a fresh
-    list of them.
+    then needs at most 3.  Candidates x come from the grid {0..4}^k, k = dim V:
+    the polynomial Q(x) Q(m x - x) has degree at most 4 in each coordinate
+    and l >= 11 > 4, so by the Combinatorial Nullstellensatz it vanishes on
+    the grid only if it vanishes identically.  Each step scores the grid
+    CHUNK points per int64 numpy pass, in itertools.product order, and keeps
+    the first passing point, so the vectors do not depend on CHUNK; at k = 1
+    that is x = b, emitted without a scan.  Each reflection is a rank-one
+    update.  The vectors are computed once per matrix and kept as
+    m.reflections; each call returns a fresh list of them.
     """
     return list(m.reflections)
 

@@ -8,7 +8,7 @@ the Kronecker product; this module provides that action, its inverse
 (rank-one block factorization, with the +-(A, B) ambiguity resolved by a
 canonical sign), the block-diagonal group generated together with the
 complex-structure matrix, its Gaussian-integer 2x2 model, and breadth-first
-group orders for validating all of it at small l.
+group orders for validating all of it at small l (at most `ortho.MAX_ELL`).
 
 u_p mod l, the squared trace of a Kronecker factor, is defined in `certify`;
 reading it off P_p mod l in this model is a test oracle in `tests/`.
@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .modarith import is_prime, legendre, sqrt_mod
-from .ortho import GramForm, Mat, OrthMatrix, identity, mat_det, mat_mul, mat_neg, mat_reduce
+from .modarith import OutOfRangeError, is_prime, legendre, sqrt_mod
+from .ortho import MAX_ELL, GramForm, Mat, OrthMatrix, identity, mat_det, mat_mul, mat_neg, mat_reduce
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -246,29 +246,27 @@ def group_order_bfs(generators, ell: int) -> int:
     """Exact order of the matrix group generated over F_l, by breadth-first
     closure one level at a time.
 
-    Each level is one batched product of the frontier, an (N, n, n) array,
-    with every generator.  Products are int64 when n (l - 1)^2 < 2^63 and
-    Python integers (object dtype) otherwise.  An element is keyed by the
-    bytes of its reduced entries in the smallest unsigned type that holds
-    l - 1 (uint8 up to l = 256, uint16 up to 65536, ...), or by the tuple of
-    its entries when l - 1 >= 2^64.  Raises CapExceededError when the order
+    Each level is one batched int64 product of the frontier, an (N, n, n)
+    array, with every generator.  An element is keyed by the bytes of its
+    reduced entries in the smallest unsigned type that holds l - 1: uint8
+    up to l = 256, uint16 up to 65536, else uint32.  Raises OutOfRangeError
+    for l > MAX_ELL before any work, and CapExceededError when the order
     exceeds CLOSURE_CAP.
     """
+    if ell > MAX_ELL:
+        raise OutOfRangeError(f"l = {ell} is above the {MAX_ELL} bound of exact int64 arithmetic")
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     gens = [mat_reduce(g, ell) for g in generators]
     n = len(gens[0])
-    dtype = np.int64 if n * (ell - 1) ** 2 < 2**63 else object
-    key_type = np.min_scalar_type(ell - 1)  # object past uint64
+    key_type = np.min_scalar_type(ell - 1)
 
     def keys(mats: np.ndarray) -> list:
-        flat = mats.reshape(len(mats), n * n)
-        if key_type == object:
-            return list(map(tuple, flat.tolist()))
-        return flat.astype(key_type).view((np.void, key_type.itemsize * n * n)).ravel().tolist()
+        flat = mats.reshape(len(mats), n * n).astype(key_type)
+        return flat.view((np.void, key_type.itemsize * n * n)).ravel().tolist()
 
-    gens_arr = np.array(gens, dtype=dtype)
-    level = np.array([identity(n)], dtype=dtype)
+    gens_arr = np.array(gens, dtype=np.int64)
+    level = np.array([identity(n)], dtype=np.int64)
     seen = set(keys(level))
     while len(level):
         # every product of the level with a generator, then only the new ones

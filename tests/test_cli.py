@@ -346,27 +346,35 @@ cli.invariants = lambda model: real(model)._replace(delta=real(model).c4)
 """
 
 
+# The one error line of a malformed --ell-range or --witnesses value.
+RANGE_FORM = "error: --ell-range takes LO:HI, got '{}'\n"
+WITNESSES_FORM = "error: --witnesses takes a comma-separated list of integers, got '{}'\n"
+
 BAD_COMMAND_LINES = [
-    (["certify", "--ell-range", "11:10000000000"], EXIT_RANGE, ""),
-    (["verify", "{deep}"], EXIT_USAGE, ""),
-    (["group-check", "--ell", "4"], EXIT_USAGE, ""),
-    (["group-check", "--ell", "37"], EXIT_RANGE, ""),
-    (["certify", "--ell-range", "11"], EXIT_USAGE, ""),
-    (["certify", "--ell-range", "20:11"], EXIT_RANGE, ""),
-    (["lpoly", "--p", "1031"], EXIT_RANGE, ""),
-    (["lpoly", "--p", "100003"], EXIT_RANGE, ""),
-    (["certify", "--ell", "11", "--witnesses", "3,100003"], EXIT_RANGE, ""),
-    (["certify", "--ell", "11", "--json", ""], EXIT_USAGE, ""),  # refused before certifying
-    (["invariants"], EXIT_WEIL, WRONG_DELTA),
-    (["certify", "--ell", str(PSI_12)], EXIT_USAGE, ""),  # composite: not prime
-    (["certify", "--ell", str(PSI_13)], EXIT_RANGE, ""),  # beyond exact primality
+    (["certify", "--ell-range", "11:10000000000"], EXIT_RANGE, "", ""),
+    (["verify", "{deep}"], EXIT_USAGE, "", ""),
+    (["group-check", "--ell", "4"], EXIT_USAGE, "", ""),
+    (["group-check", "--ell", "37"], EXIT_RANGE, "", ""),
+    (["certify", "--ell-range", "11"], EXIT_USAGE, "", RANGE_FORM.format("11")),
+    (["certify", "--ell-range", "20:11"], EXIT_RANGE, "", ""),
+    (["lpoly", "--p", "1031"], EXIT_RANGE, "", ""),
+    (["lpoly", "--p", "100003"], EXIT_RANGE, "", ""),
+    (["certify", "--ell", "11", "--witnesses", "3,100003"], EXIT_RANGE, "", ""),
+    (["certify", "--ell", "11", "--json", ""], EXIT_USAGE, "", ""),  # refused before certifying
+    (["invariants"], EXIT_WEIL, WRONG_DELTA, ""),
+    (["certify", "--ell", str(PSI_12)], EXIT_USAGE, "", ""),  # composite: not prime
+    (["certify", "--ell", str(PSI_13)], EXIT_RANGE, "", ""),  # beyond exact primality
+    (["certify", "--ell-range", "100"], EXIT_USAGE, "", RANGE_FORM.format("100")),
+    (["certify", "--ell-range", "11:"], EXIT_USAGE, "", RANGE_FORM.format("11:")),
+    (["certify", "--ell-range", "11:20:30"], EXIT_USAGE, "", RANGE_FORM.format("11:20:30")),
+    (["certify", "--ell", "11", "--witnesses", "3,,5"], EXIT_USAGE, "", WITNESSES_FORM.format("3,,5")),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, code, patch", BAD_COMMAND_LINES, ids=[" ".join(argv) for argv, _, _ in BAD_COMMAND_LINES]
+    "argv, code, patch, message", BAD_COMMAND_LINES, ids=[" ".join(argv) for argv, *_ in BAD_COMMAND_LINES]
 )
-def test_bad_command_lines_print_one_error_line_and_no_traceback(tmp_path, argv, code, patch):
+def test_bad_command_lines_print_one_error_line_and_no_traceback(tmp_path, argv, code, patch, message):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)  # beyond the parser's recursion limit
     argv = [arg.format(deep=deep) for arg in argv]
@@ -374,6 +382,7 @@ def test_bad_command_lines_print_one_error_line_and_no_traceback(tmp_path, argv,
     assert "Traceback" not in child.stderr
     assert (child.returncode, child.stdout) == (code, "")
     assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+    assert message in child.stderr  # "" where only the form of the line is checked
 
 
 @pytest.mark.parametrize("ell", [PSI_12, PSI_13])

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import rand_anisotropic, rand_orthogonal, rand_sl2
-from psl2cert import ortho
+from psl2cert import ortho, tensor
+from psl2cert.modarith import OutOfRangeError, is_prime
 from psl2cert.ortho import (
     GRID,
     GramForm,
@@ -163,9 +164,19 @@ def rand_unipotent(ell, rng):
     return tensor_action(*((n, M2_IDENTITY) if rng.random() < 0.5 else (M2_IDENTITY, n)), ell)
 
 
-@pytest.mark.parametrize("ell", (11, 13, 17, 19, 23, 29, 31, 1_000_003, 2**61 - 1))
+# the largest prime l <= MAX_ELL, where the int64 entries of _factor come
+# closest to 2^63
+EDGE_ELL = 832_253
+
+
+def test_edge_ell_is_the_largest_prime_in_range():
+    assert is_prime(EDGE_ELL) and EDGE_ELL <= ortho.MAX_ELL < 832_291
+    assert not any(map(is_prime, range(EDGE_ELL + 1, 832_291)))
+    assert 16 * ortho.MAX_ELL**3 < 2**63 <= 16 * (ortho.MAX_ELL + 1) ** 3
+
+
+@pytest.mark.parametrize("ell", (11, 13, 17, 19, 23, 29, 31, EDGE_ELL))
 def test_cartan_dieudonne_matches_sequential_scan(ell):
-    # 16 l^3 >= 2^63 for the last two, so the grid is scored on Python integers
     form = tensor_form(ell)
     rng = random.Random(ell)
     small = ell < 100
@@ -197,7 +208,7 @@ def test_cartan_dieudonne_matches_sequential_scan_across_chunks(monkeypatch, chu
     # 625 is the whole grid at k = 4; 1 and 7 put chunk boundaries between
     # the candidates of every step
     monkeypatch.setattr(ortho, "CHUNK", chunk)
-    for ell in (11, 31, 2**61 - 1):
+    for ell in (11, 31, EDGE_ELL):
         rng = random.Random(ell + chunk)
         forms = (tensor_form(ell), diagonal_form(ell, (1, 1, 1, 2)))
         for form in forms:
@@ -248,16 +259,15 @@ def test_scan_stops_at_the_first_passing_chunk(monkeypatch):
     assert recompose(vecs, form) == m.mat
 
 
-@pytest.mark.parametrize("ell", (13, 2**61 - 1))
+@pytest.mark.parametrize("ell", (13, EDGE_ELL))
 def test_reflection_rank_one_update_matches_matrix_product(ell):
     form = tensor_form(ell)
-    dtype = np.int64 if 16 * ell**3 < 2**63 else object
-    g = np.array(form.gram, dtype=dtype)
+    g = np.array(form.gram, dtype=np.int64)
     rng = random.Random(ell)
     for _ in range(30):
         v = rand_anisotropic(form, rng)
         m = mat_reduce([[rng.randrange(ell) for _ in range(4)] for _ in range(4)], ell)
-        updated = ortho._reflect(np.array(m, dtype=dtype), np.array(v, dtype=dtype), g, ell)
+        updated = ortho._reflect(np.array(m, dtype=np.int64), np.array(v, dtype=np.int64), g, ell)
         assert tuple(map(tuple, updated.tolist())) == mat_mul(reflection_matrix(v, form), m, ell)
 
 
@@ -338,16 +348,55 @@ def test_orth_matrix_validates_membership():
         OrthMatrix(bad, form)
 
 
-@pytest.mark.parametrize("ell", (11, 31))
-def test_vectors_do_not_depend_on_the_dtype(ell):
-    # the object-dtype path, run by hand at an l where the form picks int64
-    form = tensor_form(ell)
-    assert form._arrays[1].dtype == np.int64
-    rng = random.Random(ell + 1)
-    for m in [rand_orthogonal(form, rng, rng.randint(0, 5)) for _ in range(10)] + [rand_unipotent(ell, rng)]:
-        arrays = (np.array(a, dtype=object) for a in (m.mat, identity(), form.gram))
-        assert unfactored(m)
-        assert tuple(ortho._factor(*arrays, ell)) == m.reflections == tuple(cartan_dieudonne_sequential(m))
+def test_one_dimensional_steps_emit_without_a_scan(monkeypatch):
+    # at k = 1 the scan would keep x = b, so _factor emits m b - b directly
+    grid, factor, dims = ortho._grid, ortho._factor, []
+
+    def no_line_scan(k):
+        assert k != 1, "a k = 1 step scored its grid"
+        return grid(k)
+
+    def recorded(m, basis, g, ell):
+        dims.append(len(basis))
+        return factor(m, basis, g, ell)
+
+    monkeypatch.setattr(ortho, "_grid", no_line_scan)
+    monkeypatch.setattr(ortho, "_factor", recorded)
+    for form in (tensor_form(11), tensor_form(31), diagonal_form(13, (1, 1, 1, 2)), tensor_form(EDGE_ELL)):
+        rng = random.Random(form.ell + 4)
+        for m in [rand_orthogonal(form, rng, rng.randint(0, 5)) for _ in range(30)] + [rand_unipotent(form.ell, rng)]:
+            assert unfactored(m)
+            vecs = cartan_dieudonne(m)
+            assert vecs == cartan_dieudonne_sequential(m)
+            assert recompose(vecs, m.form) == m.mat
+    assert 1 in dims
+
+
+class CountedNumpy:
+    """numpy, counting every name a module reads from it."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def __getattr__(self, name):
+        self.reads += 1
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("ell", (832_291, 2**31 - 1, 2**61 - 1, 2**64 + 13))
+def test_ell_above_max_ell_is_refused_before_any_numpy_call(monkeypatch, ell):
+    # 832,291 is the first prime above MAX_ELL
+    assert is_prime(ell) and ell > ortho.MAX_ELL
+    counted = CountedNumpy()
+    monkeypatch.setattr(ortho, "np", counted)
+    monkeypatch.setattr(tensor, "np", counted)
+    with pytest.raises(OutOfRangeError):
+        tensor_form(ell)
+    with pytest.raises(OutOfRangeError):
+        GramForm(ell, identity())
+    with pytest.raises(OutOfRangeError):
+        tensor.group_order_bfs(tensor.sl2_generators(ell), ell)
+    assert counted.reads == 0
 
 
 def count_top_level_factors(monkeypatch) -> list:
@@ -387,12 +436,13 @@ def test_each_matrix_is_factored_once(monkeypatch, first):
 
 
 def test_factor_leaves_the_cached_form_arrays_alone():
+    # the identity is the top-level basis of every factorization
+    before = ortho._IDENTITY.copy()
     form = diagonal_form(13, (1, 1, 1, 2))
-    before = [a.copy() for a in form._arrays]
     rng = random.Random(8)
     for _ in range(20):
         cartan_dieudonne(rand_orthogonal(form, rng, rng.randint(1, 5)))
-    assert all((a == b).all() for a, b in zip(form._arrays, before))
+    assert (ortho._IDENTITY == before).all()
 
 
 def test_mutating_the_returned_list_does_not_change_the_next_result():
@@ -408,7 +458,7 @@ def test_mutating_the_returned_list_does_not_change_the_next_result():
     assert m.reflections == tuple(expected)
 
 
-@pytest.mark.parametrize("ell", (11, 31, 2**61 - 1))
+@pytest.mark.parametrize("ell", (11, 31, EDGE_ELL))
 def test_spinor_by_reflections_is_the_product_over_the_sequential_factorization(ell):
     form = tensor_form(ell)
     rng = random.Random(ell + 2)
@@ -427,7 +477,7 @@ def random_form(ell, rng):
             return GramForm(ell, g)
 
 
-@pytest.mark.parametrize("ell", (11, 31, 2**31 - 1, 2**61 - 1))
+@pytest.mark.parametrize("ell", (11, 31, EDGE_ELL, 2**31 - 1, 2**61 - 1))
 def test_map_mul_sums_match_the_generator_sums(ell):
     rng = random.Random(ell + 3)
 
@@ -440,6 +490,8 @@ def test_map_mul_sums_match_the_generator_sums(ell):
             v = rand_mat(1, n)[0]
             assert mat_mul(a, b, ell) == mat_mul_generator(a, b, ell)
             assert mat_vec(a, v, ell) == mat_vec_generator(a, v, ell)
+    if ell > ortho.MAX_ELL:
+        return  # mat_mul and mat_vec have no cap, but forms do
     for _ in range(10):
         form = random_form(ell, rng)
         for _ in range(10):

@@ -309,13 +309,11 @@ def test_group_orders_match_tuple_bfs(ell):
         assert group_order_bfs(gens, ell) == group_order_tuple_bfs(gens, ell) == expected[name], name
 
 
-@pytest.mark.parametrize("ell", (13, 257, 65537, 2**31 - 1, 2**61 - 1, 2**64 + 13))
+@pytest.mark.parametrize("ell", (13, 257, 65537, 832_253))
 def test_group_order_quaternion_closures(ell):
-    # keys are uint8 at 13, uint16 at 257, uint32 at 65537 and 2^31 - 1,
-    # uint64 at 2^61 - 1 and tuples past 2^64; products are int64 while
-    # n (l - 1)^2 < 2^63 (up to 2^31 - 1 at n = 2, 65537 at n = 4) and Python
-    # integers beyond.  The quaternion units i = S and j (with a^2 + b^2 = -1)
-    # generate Q8 in SL2
+    # keys are uint8 at 13, uint16 at 257 and uint32 at 65537 and at 832,253,
+    # the largest prime up to MAX_ELL.  The quaternion units i = S and j
+    # (with a^2 + b^2 = -1) generate Q8 in SL2
     a = next(a for a in range(1, ell) if legendre(-1 - a * a, ell) == 1)
     b = sqrt_mod((-1 - a * a) % ell, ell)
     i, j = ((0, ell - 1), (1, 0)), ((a, b), (b, -a % ell))
