@@ -1,11 +1,14 @@
-"""Shared deterministic generators for the property tests, and a child
-interpreter for the cases that would hang on a regression."""
+"""Shared deterministic generators for the property tests, a child
+interpreter for the cases that would hang on a regression, and a numpy
+stand-in that counts its uses."""
 
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import psl2cert
 from psl2cert.ortho import GramForm, OrthMatrix, mat_mul, reflection_matrix
@@ -46,3 +49,14 @@ def rand_orthogonal(form: GramForm, rng: random.Random, reflections: int) -> Ort
     for _ in range(reflections):
         m = mat_mul(m, reflection_matrix(rand_anisotropic(form, rng), form), form.ell)
     return OrthMatrix(m, form)
+
+
+class CountedNumpy:
+    """numpy, counting every name a module reads from it."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def __getattr__(self, name):
+        self.reads += 1
+        return getattr(np, name)

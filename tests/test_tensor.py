@@ -6,11 +6,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import rand_sl2
+from conftest import CountedNumpy, rand_sl2
 from psl2cert import tensor
 from psl2cert.certify import WitnessData, eliminate_exceptional
 from psl2cert.lpoly import SquareShape, lpolynomial, shape_classify
-from psl2cert.modarith import legendre, primes_in_range, sqrt_mod
+from psl2cert.modarith import OutOfRangeError, is_prime, legendre, primes_in_range, sqrt_mod
 from psl2cert.ortho import (
     identity,
     in_omega,
@@ -321,6 +321,20 @@ def test_group_order_quaternion_closures(ell):
     gens = [block_diagonal_pair(i, ell), block_diagonal_pair(j, ell), complex_structure(ell)]
     # gamma is central with gamma^2 = i^2 = -I: a central product Q8 o C4
     assert group_order_bfs(gens, ell) == group_order_tuple_bfs(gens, ell) == 16
+
+
+@pytest.mark.parametrize("ell", (832_291, 2**31 - 1, 2**61 - 1, 2**64 + 13))
+def test_group_order_above_max_ell_is_refused_before_any_numpy_call(monkeypatch, ell):
+    # the quaternion closures of 2^61 - 1 and 2^64 + 13 once reached the
+    # uint64 and tuple keys; above MAX_ELL the closure is refused instead
+    assert is_prime(ell) and ell > tensor.MAX_ELL
+    i = ((0, ell - 1), (1, 0))
+    counted = CountedNumpy()
+    monkeypatch.setattr(tensor, "np", counted)
+    for gens in ([i], sl2_generators(ell), [block_diagonal_pair(i, ell), complex_structure(ell)]):
+        with pytest.raises(OutOfRangeError):
+            group_order_bfs(gens, ell)
+    assert counted.reads == 0
 
 
 @pytest.mark.parametrize("closure", (group_order_bfs, group_order_tuple_bfs))
