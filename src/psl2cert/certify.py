@@ -183,23 +183,18 @@ class Certificate:
         return "Certified" if all(r.eliminated for r in records) else "Inconclusive"
 
 
-@lru_cache(maxsize=WITNESS_MEMO_SIZE)
-def _non_odd_primes(witnesses: tuple[int, ...]) -> frozenset[int]:
-    """The witnesses that are not odd primes: tested once per distinct
-    witness tuple, not once per l."""
-    return frozenset(p for p in witnesses if not is_prime(p) or p == 2)
-
-
 def _validate(ell: int, witnesses: tuple[int, ...]):
     if not is_prime(ell):
         raise ValueError(f"l = {ell} is not prime")
     if ell < MIN_ELL:
-        raise OutOfRangeError(f"l = {ell} is below the certifiable range (l >= {MIN_ELL})")
+        raise OutOfRangeError(
+            f"l = {ell} is below the certifiable range (l >= {MIN_ELL}): "
+            f"every square mod {ell} is a trace square the exceptional test rejects"
+        )
     if not witnesses:
         raise ValueError("witness set is empty")
-    bad = _non_odd_primes(witnesses)
     for p in witnesses:
-        if p in bad:
+        if not is_prime(p) or p == 2:
             raise ValueError(f"witness {p} is not an odd prime")
         if p == ell:
             raise ValueError(f"witness {p} coincides with l")

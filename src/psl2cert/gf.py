@@ -8,7 +8,8 @@ kernel uses to index precomputed tables.  The quadratic-character table is
 -1 except at 0 (0) and at the encodings of the squares x*x (+1), which
 `squares` computes once per table.  Every field has q <= CHI_TABLE_MAX_Q:
 `field_size` refuses a larger one before a context or a modulus search
-starts, so the table is the one character path.
+starts, so the table is the one character path, and its bound is what
+refuses Full mode (F_{p^4}) from p = 37 on.
 
 Contexts are immutable and safe to share; `fq_ctx` returns a cached
 deterministic context whose modulus is the lexicographically smallest
@@ -303,23 +304,15 @@ class FqElem:
         return f"Fq({body} ; q={self.ctx.q})"
 
 
-@lru_cache(maxsize=8)  # Full mode touches four fields per prime
+# fiber_traces, the only caller, asks for each field once; the cache keeps one
+# context per field, so FqElem equality and the built table hold across calls
+@lru_cache(maxsize=8)
 def fq_ctx(p: int, k: int) -> FieldCtx:
     """Deterministic context for F_{p^k}: the modulus is the
     lexicographically smallest monic irreducible of degree k over F_p.
-    A field above CHI_TABLE_MAX_Q is refused before the search.
-
-    For k = 4 and p = 3 (mod 4) it skips the p binomials x^4 + c that come
-    first: -1 is a nonsquare, so either -c = a^2 and x^4 + c = (x^2 - a)(x^2 + a),
-    or c = b^2 and one of +-2b is a square s^2, and x^4 + b^2 = (x^2 + b)^2
-    - 2b x^2 = (x^2 - b)^2 + 2b x^2 is a difference of squares.  Under the
-    table bound a quartic field has p <= 31, so the skip serves only those
-    p.  It stays because Rabin's test on the binomials costs Full mode at
-    p = 7 and 11 about 0.3 ms more together: fq_ctx(7, 4) 0.10 -> 0.18 ms
-    and fq_ctx(11, 4) 0.18 -> 0.36 ms (shared 2-core Xeon, Python 3.11)."""
+    A field above CHI_TABLE_MAX_Q is refused before the search."""
     field_size(p, k)
-    candidates = itertools.islice(_monic_polys(p, k), p if k == 4 and p % 4 == 3 else 0, None)
-    return FieldCtx(p, k, next(m for m in candidates if is_irreducible(m, p)))  # t when k = 1
+    return FieldCtx(p, k, next(m for m in _monic_polys(p, k) if is_irreducible(m, p)))  # t when k = 1
 
 
 def quad_char(ctx: FieldCtx, v) -> int:

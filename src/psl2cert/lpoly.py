@@ -11,11 +11,11 @@ proves its rounding: every S lies within 1/4 of an integer (|S| <= q <= 2^20),
 every fiber meets the Hasse bound, and three fibers are recounted directly;
 a failure raises, with no fallback.  The L-series is recovered from A_1, A_2
 through exp(sum A_k T^k / k); the functional equation fills in the T^3 and
-T^4 coefficients, and a "full direct" mode, up to FULL_DIRECT_MAX_P, recounts
-over the degree-3 and degree-4 extensions to confirm them independently.
-A field above the character table (q > 2^20) is refused with
-OutOfRangeError before any work: `fq_ctx` refuses it before its modulus
-search, and `lpolynomial` counts over F_{p^2} first.  The slow oracles (a
+T^4 coefficients, and a "full direct" mode recounts over the degree-3 and
+degree-4 extensions to confirm them independently.  A field above the
+character table (q > 2^20) is refused with OutOfRangeError before any work:
+`lpolynomial` asks `field_size` for its largest field first, so the table
+bound is also what refuses Full mode from p = 37 on.  The slow oracles (a
 per-fiber trace, the closed-point Euler product) live in the tests.
 """
 
@@ -26,14 +26,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import FieldCtx, fq_ctx, quad_char
-from .modarith import OutOfRangeError, is_prime
+from .gf import FieldCtx, field_size, fq_ctx, quad_char
+from .modarith import is_prime
 from .qpoly import Q, QPolynomial, format_poly, rational_sqrt, series_exp
 
 MODE_FE = "FE"
 MODE_FULL = "Full"
-
-FULL_DIRECT_MAX_P = 31  # largest p with p^4 <= CHI_TABLE_MAX_Q; cost guard
 
 
 class HasseBoundError(ArithmeticError):
@@ -179,14 +177,11 @@ def lpolynomial(p: int, mode: str = MODE_FE) -> LPolynomial:
     degree-4 extensions and verifies the completed coefficients; any
     disagreement is a hard error, never repaired.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
+    field_size(p, 4 if mode == MODE_FULL else 2)
     if mode not in (MODE_FE, MODE_FULL):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == MODE_FULL and p > FULL_DIRECT_MAX_P:
-        raise OutOfRangeError(f"full-direct mode limited to p <= {FULL_DIRECT_MAX_P}")
 
-    a2 = trace_sum(p, 2)  # first: a field F_{p^2} above the table bound is refused before any count
+    a2 = trace_sum(p, 2)
     a1 = trace_sum(p, 1)
     coeffs = series_exp([Q(0), Q(a1), Q(a2, 2)], 2)
     if coeffs[1].denominator != 1 or coeffs[2].denominator != 1:

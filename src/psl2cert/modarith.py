@@ -14,8 +14,8 @@ _PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 34155
 
 class OutOfRangeError(ValueError):
     """A request beyond a supported size: an integer too large for exact
-    primality, a field larger than the character table, Full mode above its
-    prime guard, or l below the certifiable range."""
+    primality, a field larger than the character table (which also bounds
+    Full mode), or l below the certifiable range."""
 
 
 def is_prime(n: int) -> bool:

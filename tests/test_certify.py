@@ -1,10 +1,12 @@
 """The three elimination branches, certificates, and the checker."""
 
+import dataclasses
 import importlib
 import json
 from fractions import Fraction as Q
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -186,6 +188,43 @@ def test_exceptional_u_is_the_tensor_trace_square_invariant():
             assert u == trace_square_invariant(reduce_poly_mod(wd.lp.as_qpoly(), ell), p, ell)
             pairs += 1
     assert pairs == 1791
+
+
+def sl2_elements(ell):
+    """Every element of SL2(F_l) as int64 arrays (a, b, c, d) of length
+    l^3 - l: for a != 0, d = (1 + bc)/a; for a = 0, c = -1/b."""
+    inv = np.array([0] + [pow(x, -1, ell) for x in range(1, ell)], dtype=np.int64)
+    a, b, c = np.indices((ell - 1, ell, ell), dtype=np.int64).reshape(3, -1)
+    a += 1
+    b0, d0 = np.indices((ell - 1, ell), dtype=np.int64).reshape(2, -1)
+    b0 += 1
+    upper = (a, b, c, (1 + b * c) * inv[a] % ell)
+    lower = (np.zeros_like(b0), b0, -inv[b0] % ell, d0)
+    return tuple(np.concatenate(pair) for pair in zip(upper, lower))
+
+
+def test_exceptional_test_rejects_exactly_the_trace_squares_of_order_at_most_five():
+    # A4, S4 and A5 hold elements of orders 1 to 5 only, so the exceptional
+    # branch must reject the trace squares of every A in SL2(F_l) with
+    # A^d = +-I for some d <= 5, and no other square; at l = 5 and 7 that is
+    # every element, which is why MIN_ELL = 11.  Nothing is claimed here for
+    # the borel and cartan branches.
+    for ell in primes_in_range(5, 59):
+        m = sl2_elements(ell)
+        assert m[0].size == ell**3 - ell
+        assert np.all((m[0] * m[3] - m[1] * m[2]) % ell == 1)
+        low_order = np.zeros(m[0].size, dtype=bool)
+        power = m
+        for _ in range(5):
+            a, b, c, d = power
+            low_order |= (b == 0) & (c == 0) & (a == d) & ((a == 1) | (a == ell - 1))
+            power = ((a * m[0] + b * m[2]) % ell, (a * m[1] + b * m[3]) % ell,
+                     (c * m[0] + d * m[2]) % ell, (c * m[1] + d * m[3]) % ell)
+        u = (m[0] + m[3]) ** 2 % ell
+        squares = set(np.unique(u).tolist())  # every trace occurs, so every square
+        rejected = {s for s in squares if eliminate_exceptional(ell, [dataclasses.replace(W3, u=Q(s))]).failed}
+        assert set(np.unique(u[low_order]).tolist()) == rejected, ell
+        assert (rejected == squares) == (ell < 11), ell
 
 
 def test_certify_11_and_19():
@@ -433,9 +472,8 @@ def test_round_trip_derives_each_witness_once(monkeypatch):
     assert sorted(calls) == [3, 5]
 
 
-def test_round_trip_checks_witness_primality_once(monkeypatch):
-    # per certificate only l is tested for primality; the witness tuple is
-    # tested once, for certifying and checking alike
+def test_round_trip_checks_each_ell_for_primality_twice(monkeypatch):
+    # once when certifying l and once when checking its certificate
     calls = []
     is_prime = certify_module.is_prime
 
@@ -444,12 +482,10 @@ def test_round_trip_checks_witness_primality_once(monkeypatch):
         return is_prime(n)
 
     monkeypatch.setattr(certify_module, "is_prime", counting)
-    certify_module._non_odd_primes.cache_clear()
     ells = primes_in_range(11, 1300)[:200]
     report = certify_range(ells[0], ells[-1])
     for cert in report:
         assert verify_certificate(json.loads(json.dumps(certificate_to_dict(cert))))
-    assert sorted(n for n in calls if n in (3, 5)) == [3, 5]
     assert sorted(n for n in calls if n not in (3, 5)) == sorted(ells * 2)
 
 

@@ -52,7 +52,7 @@ def test_lpoly_full_mode_out_of_range(capsys):
     assert main(["lpoly", "--p", "37", "--mode", "full"]) == EXIT_RANGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: full-direct mode limited")
+    assert captured.err == "error: field of size 37^4 = 1874161 exceeds the 1048576-entry character table\n"
 
 
 def test_scan_row_counts(capsys):
@@ -95,8 +95,15 @@ def test_certify_single(capsys):
 
 
 def test_certify_out_of_range(capsys):
-    code, _ = run(capsys, "certify", "--ell", "7")
-    assert code == EXIT_RANGE
+    # every prime l < 11 is refused, and the error line says why
+    for ell in (2, 3, 5, 7):
+        assert main(["certify", "--ell", str(ell)]) == EXIT_RANGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: l = {ell} is below the certifiable range (l >= 11): "
+            f"every square mod {ell} is a trace square the exceptional test rejects\n"
+        )
 
 
 def test_certify_range_with_json(capsys, tmp_path):

@@ -186,18 +186,12 @@ def test_field_above_table_bound_is_refused(monkeypatch):
                 call(p, k)
             assert str(excinfo.value) == refusal, call
         with pytest.raises(OutOfRangeError) as excinfo:
-            lpolynomial(p, MODE_FE if k == 2 else MODE_FULL)  # Full mode: refused from p = 37 on
-        assert k > 2 or str(excinfo.value) == refusal
+            lpolynomial(p, MODE_FE if k == 2 else MODE_FULL)  # Full mode asks for F_{p^4}: refused from p = 37 on
+        assert k == 3 or str(excinfo.value) == refusal
     assert calls == []
 
 
-def test_quartic_modulus_skips_only_reducible_binomials():
-    # for p = 3 (mod 4) fq_ctx starts past the binomials x^4 + c, and the
-    # modulus must be the full search's (every quartic field under the table
-    # bound, p <= 31); for p = 1 (mod 4) some binomial is irreducible, so the
-    # skip must stay off there
-    for p in primes_in_range(3, 200):
-        if p**4 <= gf.CHI_TABLE_MAX_Q:
-            assert fq_ctx.__wrapped__(p, 4).modulus == fq_modulus_full_search(p, 4), p
-        binomials = [(c, 0, 0, 0, 1) for c in range(p)]
-        assert any(map(is_irreducible, binomials, [p] * p)) == (p % 4 == 1), p
+def test_quartic_modulus_is_the_first_irreducible_of_the_full_search():
+    # every quartic field under the table bound, p <= 31
+    for p in primes_in_range(3, 31):
+        assert fq_ctx.__wrapped__(p, 4).modulus == fq_modulus_full_search(p, 4), p

@@ -12,6 +12,7 @@ from slow_paths import chi_cubic_by_products, euler_product_truncated, fiber_tra
 from psl2cert import lpoly as lpoly_module
 from psl2cert.gf import fq_ctx, quad_char
 from psl2cert.lpoly import (
+    MODE_FE,
     MODE_FULL,
     BiquadraticShape,
     HasseBoundError,
@@ -27,7 +28,7 @@ from psl2cert.lpoly import (
     shape_classify,
     trace_sum,
 )
-from psl2cert.modarith import primes_in_range
+from psl2cert.modarith import OutOfRangeError, primes_in_range
 from psl2cert.qpoly import QPolynomial, series_log
 
 
@@ -208,7 +209,7 @@ def test_lpolynomial_full_direct_agreement():
 
 
 def test_lpolynomial_full_direct_agreement_large():
-    # 31 is the top of the guard: 31^4 <= CHI_TABLE_MAX_Q < 37^4
+    # 31 is the largest p whose F_{p^4} fits the table: 31^4 <= CHI_TABLE_MAX_Q < 37^4
     for p in (11, 13, 17, 31):
         assert lpolynomial(p, MODE_FULL) == lpolynomial(p)
 
@@ -230,9 +231,25 @@ def test_lpolynomial_guards():
     with pytest.raises(ValueError):
         lpolynomial(9)
     with pytest.raises(ValueError):
-        lpolynomial(37, MODE_FULL)  # cost guard
+        lpolynomial(37, MODE_FULL)  # F_37^4 exceeds the table
     with pytest.raises(ValueError):
         lpolynomial(3, "bogus")
+
+
+@pytest.mark.parametrize(
+    "p,mode,error,text",
+    [
+        (37, MODE_FULL, OutOfRangeError, "field of size 37^4 = 1874161 exceeds the 1048576-entry character table"),
+        (4, MODE_FE, ValueError, "p must be an odd prime, got 4"),
+        (1031, MODE_FE, OutOfRangeError, "field of size 1031^2 = 1062961 exceeds the 1048576-entry character table"),
+    ],
+)
+def test_lpolynomial_refuses_before_any_count(monkeypatch, p, mode, error, text):
+    # field_size on the largest field the mode counts over is the one check
+    monkeypatch.setattr(lpoly_module, "trace_sum", lambda p, k: pytest.fail(f"counted F_{p}^{k}"))
+    with pytest.raises(error) as excinfo:
+        lpolynomial(p, mode)
+    assert str(excinfo.value) == text
 
 
 def test_euler_product_known_truncations():

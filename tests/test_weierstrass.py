@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from psl2cert.lpoly import lpolynomial
 from psl2cert.qpoly import QPolynomial
 from psl2cert.weierstrass import (
     INF,
@@ -102,6 +103,56 @@ def test_surface_valuations_at_bad_places():
 
 def test_surface_kodaira_table():
     assert kodaira_table(surface_model()) == {0: "I4*", 1: "I2*", -1: "I2*", INF: "I4*"}
+
+
+# (Euler number, component count) of each Kodaira fiber type; I_n and I_n*
+# are read off the symbol
+KODAIRA_EULER_COMPONENTS = {
+    "I0": (0, 1), "II": (2, 1), "III": (3, 2), "IV": (4, 3), "IV*": (8, 7), "III*": (9, 8), "II*": (10, 9),
+}
+
+
+def euler_and_components(symbol: str) -> tuple[int, int]:
+    if symbol in KODAIRA_EULER_COMPONENTS:
+        return KODAIRA_EULER_COMPONENTS[symbol]
+    n = int(symbol[1:].rstrip("*"))
+    return (n + 6, n + 5) if symbol.endswith("*") else (n, n)
+
+
+def test_euler_number_of_each_kodaira_type_is_v_delta():
+    # every type kodaira_type returns, on its defining valuations (v(Delta), v(c4))
+    defining = [(0, 0), (2, 1), (3, 1), (4, 2), (8, 3), (9, 3), (10, 4)]
+    defining += [(n, 0) for n in range(1, 9)] + [(6 + n, 2) for n in range(9)]
+    symbols = set()
+    for v_delta, v_c4 in defining:
+        symbol = kodaira_type(v_delta, v_c4)
+        symbols.add(symbol)
+        assert euler_and_components(symbol)[0] == v_delta, symbol
+    assert {"I0", "I1", "I0*", "I1*", "II", "III", "IV", "IV*", "III*", "II*"} <= symbols
+
+
+def test_transcendental_rank_is_four_from_the_kodaira_table():
+    """Noether's formula and Shioda-Tate fix the rank of the part of H^2
+    that P_p sees (Shioda, "On the Mordell-Weil lattices", Comment. Math.
+    Univ. St. Paul. 39, 1990; Schuett and Shioda, "Elliptic surfaces", Adv.
+    Stud. Pure Math. 60, 2010).  j is not constant, so q = 0 and b_1 = 0."""
+    model = surface_model()
+    assert bad_places(model) == [0, 1, -1, INF]  # no singular fiber elsewhere
+    table = kodaira_table(model)
+    assert list(table.values()) == ["I4*", "I2*", "I2*", "I4*"]
+    euler = [euler_and_components(symbol)[0] for symbol in table.values()]
+    v_delta = [place_valuations(model, place)[0] for place in table]
+    assert euler == v_delta and sum(euler) == 36
+    chi = sum(euler) // 12
+    assert chi == 3
+    b2 = 12 * chi - 2  # e(X) = 12 chi = 2 + b_2
+    h11 = 10 * chi  # h^{1,1} = b_2 - 2 p_g with p_g = chi - 1
+    assert (b2, h11) == (34, 30)
+    trivial_rank = 2 + sum(euler_and_components(symbol)[1] - 1 for symbol in table.values())
+    assert trivial_rank == 30 == h11  # trivial <= rho <= h^{1,1}, so rho = 30
+    rho = trivial_rank
+    for p in (3, 5, 7, 11):
+        assert lpolynomial(p).as_qpoly().degree == b2 - rho == 4
 
 
 def test_bad_places_are_exactly_the_four():
