@@ -11,8 +11,8 @@ file, 2 shape-law violation, 3 any other arithmetic check failure
 `certify` is Inconclusive or errored.  A command returns 0, 3 or 5 for its
 own verdict and raises for anything else; `main` is the only mapping from
 an exception to an exit code, through EXIT_CODES, and prints one `error:`
-line.  The only files written are `certify --json` certificates; they are
-replaced atomically, and `verify` re-checks them.
+line.  The only files written are `certify --json` certificates, one compact
+document per line; they are replaced atomically, and `verify` re-checks them.
 """
 
 from __future__ import annotations
@@ -93,26 +93,14 @@ def _read_json(path: str):
             raise ValueError("JSON nested too deeply") from None
 
 
-def _write_json(path: str, payload, stream: bool = False) -> None:
-    """Write payload as indented JSON to a temp file beside path, then
-    rename it over path: a failed write leaves the old file as it was.
-
-    With stream, payload is an iterable written as a JSON list one item at a
-    time, so no more than one item is held in memory.  Each item is dumped
-    on its own with one more space after every newline; a JSON string holds
-    no raw newline, so the bytes are those of dumping the whole list."""
+def _write_json(path: str, chunks) -> None:
+    """Write the text chunks to a temp file beside path, then rename it over
+    path: a failed write leaves the old file as it was.  The chunks are
+    consumed one at a time, so a generator of them is never held whole."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            if stream:
-                sep = "[\n "
-                for item in payload:
-                    fh.write(sep + json.dumps(item, sort_keys=True, indent=1).replace("\n", "\n "))
-                    sep = ",\n "
-                fh.write("[]" if sep == "[\n " else "\n]")
-            else:
-                json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException as exc:
         if os.path.exists(tmp):
@@ -120,6 +108,16 @@ def _write_json(path: str, payload, stream: bool = False) -> None:
         if isinstance(exc, OSError) and exc.filename == tmp:  # name the file asked for, not the temp file
             raise type(exc)(exc.errno, exc.strerror, path) from exc
         raise
+
+
+def _json_lines(docs):
+    """The JSON list of docs, one compact document per line, as text chunks:
+    `[`, the documents joined by `,` and a newline, then `]`."""
+    sep = "[\n"
+    for doc in docs:
+        yield sep + json.dumps(doc, sort_keys=True)
+        sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +178,10 @@ def cmd_certify(args) -> int:
     print(f"certified {report.certified_count}/{len(report) + len(report.errors)}")
     if args.json:
         if args.ell is not None:
-            _write_json(args.json, certificate_to_dict(report.certificates[0]))
+            chunks = [json.dumps(certificate_to_dict(report.certificates[0]), sort_keys=True), "\n"]
         else:
-            _write_json(args.json, map(certificate_to_dict, report), stream=True)
+            chunks = _json_lines(map(certificate_to_dict, report))
+        _write_json(args.json, chunks)
     print(f"certify took {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return EXIT_OK if report.all_certified else EXIT_INCONCLUSIVE
 

@@ -233,7 +233,7 @@ def test_group_check_failed_identity_exits_weil(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, name, fail_at, err",
     [
-        (["certify", "--ell", "19", "--json", "{tmp}/out.json"], "dump", 1, "disk full"),
+        (["certify", "--ell", "19", "--json", "{tmp}/out.json"], "dumps", 1, "disk full"),
         # one dumps per certificate
         (["certify", "--ell-range", "11:200", "--json", "{tmp}/out.json"], "dumps", 3, "disk full"),
         # the temp file cannot be opened; the error names the target
@@ -300,13 +300,37 @@ def test_verify_command(capsys, tmp_path):
     "ell_range, witnesses",
     [("11:100", "3,5"), ("11:11", "11")],  # the second writes an empty list
 )
-def test_ell_range_json_is_streamed_as_the_indented_list(capsys, tmp_path, ell_range, witnesses):
+def test_ell_range_json_is_one_certificate_per_line(capsys, tmp_path, ell_range, witnesses):
     path = tmp_path / "certs.json"
     run(capsys, "certify", "--ell-range", ell_range, "--witnesses", witnesses, "--json", str(path))
     lo, hi = map(int, ell_range.split(":"))
     report = certify_range(lo, hi, tuple(map(int, witnesses.split(","))))
     docs = [certificate_to_dict(c) for c in report]
-    assert path.read_text() == json.dumps(docs, sort_keys=True, indent=1) + "\n"
+    text = path.read_text()
+    if docs:
+        assert text == "[\n" + ",\n".join(json.dumps(doc, sort_keys=True) for doc in docs) + "\n]\n"
+    else:
+        assert text == "[]\n"
+    assert json.loads(text) == docs
+
+
+def test_ell_json_is_one_line(capsys, tmp_path):
+    path = tmp_path / "one.json"
+    run(capsys, "certify", "--ell", "19", "--json", str(path))
+    doc = certificate_to_dict(certify_range(19, 19, (3, 5)).certificates[0])
+    assert path.read_text() == json.dumps(doc, sort_keys=True) + "\n"
+
+
+def test_verify_accepts_the_indented_layout(capsys, tmp_path):
+    """Files written with `indent=1`, the layout before one certificate per
+    line, still verify."""
+    docs = [certificate_to_dict(c) for c in certify_range(11, 200, (3, 5))]
+    many = tmp_path / "certs.json"
+    many.write_text(json.dumps(docs, sort_keys=True, indent=1) + "\n")
+    assert run(capsys, "verify", str(many)) == (EXIT_OK, "verified 42/42\n")
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps(docs[2], sort_keys=True, indent=1) + "\n")
+    assert run(capsys, "verify", str(one)) == (EXIT_OK, "verified 1/1\n")
 
 
 @pytest.mark.parametrize("p", ("1", "-1"))

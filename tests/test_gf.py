@@ -114,7 +114,9 @@ def test_chi_table_matches_power_path():
             assert ctx.chi_table().tolist() == euler, (p, k)
 
 
-@pytest.mark.parametrize("p,k", [(3, 1), (7, 2), (5, 3), (3, 4), (11, 4)])
+# the last two take the int64 accumulator (2 k p^2 >= 2^31); 1048573 is the
+# largest prime below 2^20
+@pytest.mark.parametrize("p,k", [(3, 1), (7, 2), (5, 3), (3, 4), (11, 4), (32771, 1), (1048573, 1)])
 def test_mul_arrays_matches_element_products(p, k):
     ctx = fq_ctx(p, k)
     rng = random.Random(p * 10 + k)
