@@ -10,14 +10,13 @@ from .certify import (
     certify_range,
     verify_certificate,
 )
-from .gf import FieldCtx, FqElem, fq_ctx, quad_char
+from .gf import FieldCtx, fq_ctx
 from .lpoly import LPolynomial, lpolynomial, shape_classify, trace_sum
 from .qpoly import QPolynomial, nth_power_poly, power_sums, reduce_mod
 
 __all__ = [
     "Certificate",
     "FieldCtx",
-    "FqElem",
     "LPolynomial",
     "QPolynomial",
     "RangeReport",
@@ -28,7 +27,6 @@ __all__ = [
     "lpolynomial",
     "nth_power_poly",
     "power_sums",
-    "quad_char",
     "reduce_mod",
     "shape_classify",
     "trace_sum",

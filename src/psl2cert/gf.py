@@ -2,14 +2,17 @@
 
 A field context fixes the prime p, the degree k and a monic irreducible
 modulus of degree k over F_p.  Elements are residues modulo that modulus,
-stored as coefficient tuples (constant coefficient first).  Each element
-also has an integer encoding sum(c_i * p^i), which the bulk point-counting
-kernel uses to index precomputed tables.  The quadratic-character table is
--1 except at 0 (0) and at the encodings of the squares x*x (+1), which
-`squares` computes once per table.  Every field has q <= CHI_TABLE_MAX_Q:
-`field_size` refuses a larger one before a context or a modulus search
-starts, so the table is the one character path, and its bound is what
-refuses Full mode (F_{p^4}) from p = 37 on.
+held as coefficient tuples (constant coefficient first) or, column-wise, as
+(k, n) coefficient arrays; each has an integer encoding sum(c_i * p^i),
+which indexes the precomputed tables.  There is no element class: `decode`
+gives an element's tuple, a product is `poly_mul` then `poly_mod` by the
+modulus, and `mul_arrays` multiplies whole arrays.  The element-at-a-time
+field is a test oracle (tests/slow_paths.py).  The quadratic-character
+table is -1 except at 0 (0) and at the encodings of the squares x*x (+1),
+which `squares` computes once per table.  Every field has
+q <= CHI_TABLE_MAX_Q: `field_size` refuses a larger one before a context
+or a modulus search starts, so the table is the one character path, and
+its bound is what refuses Full mode (F_{p^4}) from p = 37 on.
 
 Contexts are immutable and safe to share; `fq_ctx` returns a cached
 deterministic context whose modulus is the lexicographically smallest
@@ -136,61 +139,15 @@ class FieldCtx:
         self._chi = None
         self._squares = None
 
-    # -- element plumbing ---------------------------------------------------
+    # -- coefficient tuples, arrays and encodings -------------------------------
 
-    def elem(self, value) -> "FqElem":
-        """Coerce an int (prime-subfield value) or coefficient sequence."""
-        if isinstance(value, FqElem):
-            if value.ctx is not self:
-                raise ValueError("element from a different context")
-            return value
-        if isinstance(value, int):
-            coeffs = (value % self.p,) + (0,) * (self.k - 1)
-            return FqElem(self, coeffs)
-        coeffs = tuple(int(c) % self.p for c in value)
-        if len(coeffs) > self.k:
-            raise ValueError("too many coefficients")
-        coeffs += (0,) * (self.k - len(coeffs))
-        return FqElem(self, coeffs)
-
-    def elements(self):
-        for enc in range(self.q):
-            yield self.decode(enc)
-
-    # -- integer encoding ---------------------------------------------------
-
-    def encode(self, a: "FqElem") -> int:
-        return sum(c * self.p**i for i, c in enumerate(a.coeffs))
-
-    def decode(self, enc: int) -> "FqElem":
-        return FqElem(self, tuple(enc // self.p**i % self.p for i in range(self.k)))
-
-    def coeff_arrays(self, encs):
-        """(k, n) int32 coefficients of encoded elements, row i holding t^i."""
-        return np.array(np.unravel_index(encs, (self.p,) * self.k)[::-1], dtype=np.int32)
+    def decode(self, enc: int) -> Poly:
+        """The k coefficients of the element with encoding enc."""
+        return tuple(enc // self.p**i % self.p for i in range(self.k))
 
     def encode_arrays(self, coeffs):
-        """Encodings of a (k, n) coefficient array; inverse of coeff_arrays."""
+        """Encodings of a (k, n) coefficient array, row i holding t^i."""
         return np.ravel_multi_index(tuple(coeffs[::-1]), (self.p,) * self.k)
-
-    # -- raw coefficient arithmetic -----------------------------------------
-
-    def _add(self, a: Poly, b: Poly) -> Poly:
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _sub(self, a: Poly, b: Poly) -> Poly:
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def _mul(self, a: Poly, b: Poly) -> Poly:
-        if self.k == 1:
-            return ((a[0] * b[0]) % self.p,)
-        r = poly_mod(poly_mul(a, b, self.p), self.modulus, self.p)
-        return r + (0,) * (self.k - len(r))
-
-    def _pow(self, a: Poly, n: int) -> Poly:
-        return power(a, n, (1,) + (0,) * (self.k - 1), self._mul)
 
     def mul_arrays(self, a, b):
         """Column-wise products of (k, n) coefficient arrays: poly_mul, then
@@ -212,7 +169,7 @@ class FieldCtx:
         """Encodings of x*x for every x, indexed by encoding.  Held for
         chi_table while it is unbuilt; it builds from them and drops them, so
         the field is squared once per table."""
-        x = np.indices((self.p,) * self.k, dtype=np.int32).reshape(self.k, -1)[::-1]  # coeff_arrays of 0..q-1
+        x = np.indices((self.p,) * self.k, dtype=np.int32).reshape(self.k, -1)[::-1]  # column e: encoding e
         squares = self.encode_arrays(self.mul_arrays(x, x))
         if self._chi is None:
             self._squares = squares
@@ -232,80 +189,8 @@ class FieldCtx:
         return self._chi
 
 
-class FqElem:
-    """Element of F_{p^k}, immutable residue with operator arithmetic."""
-
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: FieldCtx, coeffs: Poly):
-        self.ctx = ctx
-        self.coeffs = coeffs
-
-    def __add__(self, other):
-        other = self.ctx.elem(other)
-        return FqElem(self.ctx, self.ctx._add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        other = self.ctx.elem(other)
-        return FqElem(self.ctx, self.ctx._sub(self.coeffs, other.coeffs))
-
-    def __mul__(self, other):
-        other = self.ctx.elem(other)
-        return FqElem(self.ctx, self.ctx._mul(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return self.ctx.elem(other) - self
-
-    def __neg__(self):
-        return FqElem(self.ctx, tuple((-c) % self.ctx.p for c in self.coeffs))
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return FqElem(self.ctx, self.ctx._pow(self.coeffs, n))
-
-    def inverse(self) -> "FqElem":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return self ** (self.ctx.q - 2)
-
-    def __truediv__(self, other):
-        return self * self.ctx.elem(other).inverse()
-
-    def frobenius(self) -> "FqElem":
-        return self ** self.ctx.p
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ctx.elem(other)
-        return isinstance(other, FqElem) and self.ctx is other.ctx and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.coeffs))
-
-    def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*t" if c != 1 else "t")
-            else:
-                terms.append(f"{c}*t^{i}" if c != 1 else f"t^{i}")
-        body = " + ".join(terms) if terms else "0"
-        return f"Fq({body} ; q={self.ctx.q})"
-
-
 # fiber_traces, the only caller, asks for each field once; the cache keeps one
-# context per field, so FqElem equality and the built table hold across calls
+# context per field, so its character table is built once across calls
 @lru_cache(maxsize=8)
 def fq_ctx(p: int, k: int) -> FieldCtx:
     """Deterministic context for F_{p^k}: the modulus is the
@@ -314,8 +199,3 @@ def fq_ctx(p: int, k: int) -> FieldCtx:
     field_size(p, k)
     return FieldCtx(p, k, next(m for m in _monic_polys(p, k) if is_irreducible(m, p)))  # t when k = 1
 
-
-def quad_char(ctx: FieldCtx, v) -> int:
-    """Quadratic character of F_q: 0 at zero, +1 on nonzero squares, -1
-    otherwise, read from the field's table (chi[0] = 0)."""
-    return int(ctx.chi_table()[ctx.encode(ctx.elem(v))])

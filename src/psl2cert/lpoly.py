@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import FieldCtx, field_size, fq_ctx, quad_char
+from .gf import FieldCtx, field_size, fq_ctx, poly_mod, poly_mul
 from .modarith import is_prime
 from .qpoly import Q, QPolynomial, format_poly, rational_sqrt, series_exp
 
@@ -65,17 +65,27 @@ def _chi_grids(ctx: FieldCtx):
 
 
 def _fiber_trace_direct(ctx: FieldCtx, enc: int, grid, pair) -> int:
-    """Trace at one encoded parameter by a direct sum over x of
-    chi(x) chi(x+1) chi(x+t0^2) on the grid; the check on the FFT kernel."""
+    """Trace at one encoded parameter t0 by a direct sum over x of
+    chi(x) chi(x+1) chi(x+t0^2) on the grid, times -chi(t0^3 - t0) read off
+    the grid at its digits; the check on the FFT kernel.  t0 is a
+    coefficient tuple, and its powers are poly_mul products reduced by the
+    modulus: no FFT and no whole-field product."""
+    p, k = ctx.p, ctx.k
+
+    def times(a, b):  # k coefficients of a*b in F_q
+        r = poly_mod(poly_mul(a, b, p), ctx.modulus, p)
+        return r + (0,) * (k - len(r))
+
     t0 = ctx.decode(enc)
-    c2 = t0 * t0
-    c = c2 * t0 - t0
-    if c.is_zero():
-        raise ValueError(f"t0 = {t0!r} is a singular fiber")
-    shifted = np.roll(grid, [-d for d in reversed(c2.coeffs)], axis=tuple(range(ctx.k)))
-    a = -quad_char(ctx, c) * int((pair * shifted).sum())
+    c2 = times(t0, t0)
+    c = tuple((x - y) % p for x, y in zip(times(c2, t0), t0))
+    chi_c = int(grid[c[::-1]])  # digit vectors index the grid t^0 digit last
+    if not chi_c:
+        raise ValueError(f"t0 = {t0} is a singular fiber")
+    shifted = np.roll(grid, [-d for d in reversed(c2)], axis=tuple(range(k)))
+    a = -chi_c * int((pair * shifted).sum())
     if a * a > 4 * ctx.q:
-        raise HasseBoundError(f"|a|={abs(a)} exceeds 2*sqrt({ctx.q}) at t0={t0!r}")
+        raise HasseBoundError(f"|a|={abs(a)} exceeds 2*sqrt({ctx.q}) at t0={t0}")
     return a
 
 
@@ -104,11 +114,11 @@ def fiber_traces(p: int, k: int) -> np.ndarray:
     over = np.flatnonzero(traces * traces > 4 * ctx.q)
     if over.size:
         bad, a = ctx.decode(int(over[0])), abs(traces[over[0]])
-        raise HasseBoundError(f"|a|={a} exceeds 2*sqrt({ctx.q}) at t0={bad!r}")
+        raise HasseBoundError(f"|a|={a} exceeds 2*sqrt({ctx.q}) at t0={bad}")
     good = np.flatnonzero(chi_c)
     for enc in good[[0, good.size // 2, -1]].tolist() if good.size else ():
         if _fiber_trace_direct(ctx, enc, grid, pair) != traces[enc]:
-            raise KernelCheckError(f"FFT trace disagrees with a direct count at t0={ctx.decode(enc)!r}")
+            raise KernelCheckError(f"FFT trace disagrees with a direct count at t0={ctx.decode(enc)}")
     return traces
 
 

@@ -12,6 +12,10 @@
   for the one definition of u_p mod l that `certify` records;
 - a polynomial reduced mod l one coefficient and one inverse at a time, for
   `certify`'s residues over one common denominator per witness;
+- the scalar field: `FqElem`, an element of F_{p^k} with operator
+  arithmetic, and `elem`, `elements`, `encode`, `coeff_arrays` and
+  `quad_char` on a `gf.FieldCtx`, for `gf`'s whole-array products
+  `mul_arrays`, its character table and the fiber counts below;
 - a fiber count that re-encodes two shifted copies of F_q, and chi(t^3 - t)
   from field products, for the grid rolls of `lpoly`'s kernel;
 - reducibility read off every product of two monic factors, for Rabin's
@@ -39,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from psl2cert.gf import FieldCtx, Poly, _monic_polys, fq_ctx, is_irreducible, poly_mul
+from psl2cert.gf import FieldCtx, Poly, _monic_polys, fq_ctx, is_irreducible, poly_mod, poly_mul
 from psl2cert.lpoly import _chi_grids, _fiber_trace_direct
 from psl2cert.modarith import is_prime
 
@@ -53,7 +57,7 @@ from psl2cert.ortho import (
     mat_vec,
     reflection_matrix,
 )
-from psl2cert.qpoly import QPolynomial, reduce_mod
+from psl2cert.qpoly import QPolynomial, power, reduce_mod
 from psl2cert import tensor
 from psl2cert.weierstrass import RationalFunction, WeierstrassModel, _coerce, invariants, valuation
 
@@ -223,26 +227,137 @@ def reduce_poly_mod(poly: QPolynomial, ell: int) -> tuple[int, ...]:
     return tuple(reduce_mod(c, ell) for c in poly.coeffs)
 
 
+class FqElem:
+    """Element of F_{p^k} for a `gf.FieldCtx`, an immutable residue with
+    operator arithmetic, one element at a time."""
+
+    __slots__ = ("ctx", "coeffs")
+
+    def __init__(self, ctx: FieldCtx, coeffs: Poly):
+        self.ctx = ctx
+        self.coeffs = coeffs
+
+    def _new(self, coeffs) -> "FqElem":
+        return FqElem(self.ctx, tuple(c % self.ctx.p for c in coeffs))
+
+    def __add__(self, other):
+        return self._new(x + y for x, y in zip(self.coeffs, elem(self.ctx, other).coeffs))
+
+    def __sub__(self, other):
+        return self._new(x - y for x, y in zip(self.coeffs, elem(self.ctx, other).coeffs))
+
+    def __mul__(self, other):
+        ctx = self.ctx
+        r = poly_mod(poly_mul(self.coeffs, elem(ctx, other).coeffs, ctx.p), ctx.modulus, ctx.p)
+        return FqElem(ctx, r + (0,) * (ctx.k - len(r)))
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __rsub__(self, other):
+        return elem(self.ctx, other) - self
+
+    def __neg__(self):
+        return self._new(-c for c in self.coeffs)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        return power(self, n, elem(self.ctx, 1), FqElem.__mul__)
+
+    def inverse(self) -> "FqElem":
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        return self ** (self.ctx.q - 2)
+
+    def __truediv__(self, other):
+        return self * elem(self.ctx, other).inverse()
+
+    def frobenius(self) -> "FqElem":
+        return self ** self.ctx.p
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = elem(self.ctx, other)
+        return isinstance(other, FqElem) and self.ctx is other.ctx and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((id(self.ctx), self.coeffs))
+
+    def __repr__(self):
+        terms = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if i == 0:
+                terms.append(str(c))
+            elif i == 1:
+                terms.append(f"{c}*t" if c != 1 else "t")
+            else:
+                terms.append(f"{c}*t^{i}" if c != 1 else f"t^{i}")
+        body = " + ".join(terms) if terms else "0"
+        return f"Fq({body} ; q={self.ctx.q})"
+
+
+def elem(ctx: FieldCtx, value) -> FqElem:
+    """Coerce an int (prime-subfield value) or coefficient sequence."""
+    if isinstance(value, FqElem):
+        if value.ctx is not ctx:
+            raise ValueError("element from a different context")
+        return value
+    if isinstance(value, int):
+        return FqElem(ctx, (value % ctx.p,) + (0,) * (ctx.k - 1))
+    coeffs = tuple(int(c) % ctx.p for c in value)
+    if len(coeffs) > ctx.k:
+        raise ValueError("too many coefficients")
+    return FqElem(ctx, coeffs + (0,) * (ctx.k - len(coeffs)))
+
+
+def elements(ctx: FieldCtx):
+    """Every element of the field, in encoding order."""
+    for enc in range(ctx.q):
+        yield FqElem(ctx, ctx.decode(enc))
+
+
+def encode(ctx: FieldCtx, a: FqElem) -> int:
+    return sum(c * ctx.p**i for i, c in enumerate(elem(ctx, a).coeffs))
+
+
+def coeff_arrays(ctx: FieldCtx, encs):
+    """(k, n) int32 coefficients of encoded elements, row i holding t^i;
+    the inverse of `ctx.encode_arrays`."""
+    return np.array(np.unravel_index(encs, (ctx.p,) * ctx.k)[::-1], dtype=np.int32)
+
+
+def quad_char(ctx: FieldCtx, v) -> int:
+    """Quadratic character of F_q: 0 at zero, +1 on nonzero squares, -1
+    otherwise, read from the field's table (chi[0] = 0)."""
+    return int(ctx.chi_table()[encode(ctx, v)])
+
+
 def fiber_trace_encoded(ctx, enc: int) -> int:
     """Trace at one encoded good parameter: sum over x of chi(x) chi(x+1)
     chi(x+t0^2), each shifted copy of F_q added coefficient-wise and
     re-encoded, times -chi(t0^3 - t0) read from the element's encoding."""
-    t0 = ctx.decode(enc)
+    t0 = FqElem(ctx, ctx.decode(enc))
     c2 = t0 * t0
     chi = ctx.chi_table()
-    x = ctx.coeff_arrays(np.arange(ctx.q))
+    x = coeff_arrays(ctx, np.arange(ctx.q))
 
     def chi_shifted(v):  # chi(x + v) for every x
         return chi[ctx.encode_arrays((x + np.array(v.coeffs, dtype=x.dtype)[:, None]) % ctx.p)]
 
-    s = int((chi * chi_shifted(ctx.elem(1)).astype(np.int64) * chi_shifted(c2)).sum())
-    return -int(chi[ctx.encode(c2 * t0 - t0)]) * s
+    s = int((chi * chi_shifted(elem(ctx, 1)).astype(np.int64) * chi_shifted(c2)).sum())
+    return -quad_char(ctx, c2 * t0 - t0) * s
 
 
 def chi_cubic_by_products(ctx) -> np.ndarray:
     """chi(t^3 - t) for every t, indexed by encoding, from two whole-field
     products."""
-    t = ctx.coeff_arrays(np.arange(ctx.q))
+    t = coeff_arrays(ctx, np.arange(ctx.q))
     cube = ctx.mul_arrays(ctx.mul_arrays(t, t), t)
     return ctx.chi_table()[ctx.encode_arrays((cube - t) % ctx.p)]
 
@@ -315,7 +430,7 @@ def fiber_trace(p: int, k: int, t0) -> int:
     coefficient sequence.
     """
     ctx = fq_ctx(p, k)
-    return _fiber_trace_direct(ctx, ctx.encode(ctx.elem(t0)), *_chi_grids(ctx)[:2])
+    return _fiber_trace_direct(ctx, encode(ctx, t0), *_chi_grids(ctx)[:2])
 
 
 def euler_product_truncated(p: int, max_degree: int) -> list[int]:
@@ -335,7 +450,7 @@ def euler_product_truncated(p: int, max_degree: int) -> list[int]:
             if d == 1 and (-modulus[0]) % p in (0, 1, p - 1):
                 continue  # singular parameter
             ctx = FieldCtx(p, d, modulus)
-            t_bar = (-modulus[0]) % p if d == 1 else ctx.encode(ctx.elem((0, 1)))
+            t_bar = (-modulus[0]) % p if d == 1 else encode(ctx, (0, 1))
             a_x = _fiber_trace_direct(ctx, t_bar, *_chi_grids(ctx)[:2])
             local = [1] + [0] * (max_degree + d)  # 1 - a_x T^d + p^d T^(2d)
             local[d], local[2 * d] = -a_x, p**d

@@ -8,9 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_python
-from slow_paths import chi_cubic_by_products, euler_product_truncated, fiber_trace, fiber_trace_encoded
+from slow_paths import (
+    chi_cubic_by_products,
+    elem,
+    elements,
+    encode,
+    euler_product_truncated,
+    fiber_trace,
+    fiber_trace_encoded,
+    quad_char,
+)
 from psl2cert import lpoly as lpoly_module
-from psl2cert.gf import fq_ctx, quad_char
+from psl2cert.gf import fq_ctx
 from psl2cert.lpoly import (
     MODE_FE,
     MODE_FULL,
@@ -36,11 +45,11 @@ def naive_fiber_count(p, k, t0):
     """Independent oracle: count projective points of
     (t0^3 - t0) y^2 = x (x+1) (x+t0^2) by brute force over F_q^2."""
     ctx = fq_ctx(p, k)
-    t0 = ctx.elem(t0)
+    t0 = elem(ctx, t0)
     c = t0 * t0 * t0 - t0
     assert not c.is_zero()
     count = 1  # the point at infinity
-    elems = list(ctx.elements())
+    elems = list(elements(ctx))
     for x in elems:
         rhs = x * (x + 1) * (x + t0 * t0)
         for y in elems:
@@ -59,7 +68,7 @@ def test_fiber_trace_against_naive_count_f5():
 
 def test_fiber_trace_against_naive_count_extension():
     ctx = fq_ctx(3, 2)
-    for t0 in ctx.elements():
+    for t0 in elements(ctx):
         if t0.is_zero() or t0 == 1 or t0 == -1:
             continue
         assert fiber_trace(3, 2, t0) == 9 + 1 - naive_fiber_count(3, 2, t0)
@@ -69,6 +78,14 @@ def test_fiber_trace_rejects_singular_fibers():
     for bad in (0, 1, -1):
         with pytest.raises(ValueError):
             fiber_trace(5, 1, bad)
+    # the recount reads chi(t0^3 - t0) off the table: a 0 there is the refusal
+    for p, k in [(7, 2), (3, 4)]:
+        ctx = fq_ctx(p, k)
+        grid, pair = lpoly_module._chi_grids(ctx)[:2]
+        for enc in (0, 1, p - 1):
+            with pytest.raises(ValueError) as excinfo:
+                lpoly_module._fiber_trace_direct(ctx, enc, grid, pair)
+            assert str(excinfo.value) == f"t0 = {ctx.decode(enc)} is a singular fiber"
 
 
 def test_fiber_symmetry_q_1_mod_4():
@@ -82,7 +99,7 @@ def test_fiber_symmetry_character_twist():
     for (p, k) in [(7, 1), (11, 1), (3, 2)]:
         ctx = fq_ctx(p, k)
         chi_minus1 = quad_char(ctx, -1)
-        for t0 in ctx.elements():
+        for t0 in elements(ctx):
             if t0.is_zero() or t0 == 1 or t0 == -1:
                 continue
             assert fiber_trace(p, k, t0) == chi_minus1 * fiber_trace(p, k, -t0)
@@ -117,8 +134,9 @@ def test_fft_kernel_checks_fail_loudly(monkeypatch):
     with pytest.raises(KernelCheckError, match="rounding gap"):
         fiber_traces(7, 2)
     monkeypatch.setattr(np.fft, "irfftn", shifted_irfftn(100.0))  # |a| >= 86 > 2*sqrt(49)
-    with pytest.raises(HasseBoundError, match="at t0="):
+    with pytest.raises(HasseBoundError) as excinfo:
         fiber_traces(7, 2)
+    assert str(excinfo.value) == "|a|=114 exceeds 2*sqrt(49) at t0=(2, 0)"  # the first good fiber, by its digits
     monkeypatch.setattr(np.fft, "irfftn", irfftn)
     monkeypatch.setattr(lpoly_module, "_fiber_trace_direct", lambda ctx, enc, grid, pair: 99)
     with pytest.raises(KernelCheckError, match="direct count"):
@@ -174,8 +192,8 @@ def test_fft_traces_frobenius_invariant(field, n):
     p, k = field
     ctx = fq_ctx(p, k)
     traces = fiber_traces(p, k)
-    t0 = ctx.decode(n % ctx.q)
-    assert traces[ctx.encode(t0.frobenius())] == traces[ctx.encode(t0)]
+    t0 = elem(ctx, ctx.decode(n % ctx.q))
+    assert traces[encode(ctx, t0.frobenius())] == traces[encode(ctx, t0)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,8 +202,8 @@ def test_fft_traces_negation_twist(field, n):
     p, k = field
     ctx = fq_ctx(p, k)
     traces = fiber_traces(p, k)
-    t0 = ctx.decode(n % ctx.q)
-    assert traces[ctx.encode(-t0)] == quad_char(ctx, -1) * traces[ctx.encode(t0)]
+    t0 = elem(ctx, ctx.decode(n % ctx.q))
+    assert traces[encode(ctx, -t0)] == quad_char(ctx, -1) * traces[encode(ctx, t0)]
 
 
 def test_hasse_bound_exhaustive():
