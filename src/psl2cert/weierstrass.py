@@ -1,6 +1,6 @@
-"""Exact rational-function arithmetic in the parameter t, Weierstrass
-invariants (c4, c6, Delta, j) of the fixed elliptic fibration, pole orders,
-and Kodaira fiber types at the four bad places {0, 1, -1, oo}.
+"""Weierstrass models with polynomial coefficients in the parameter t, their
+invariants (c4, c6 and Delta as polynomials, j as one reduced pair), pole
+orders, and Kodaira fiber types at the four bad places {0, 1, -1, oo}.
 
 No model in s = 1/t is built: the valuations at oo come from those in t,
 since c4 and Delta have weights 4 and 12 in the coefficients a_i.
@@ -18,13 +18,11 @@ from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from .qpoly import Q, QPolynomial, format_poly, poly_gcd
+from .qpoly import Q, QPolynomial, poly_gcd
 
 INF = "oo"  # the place at infinity
 
 FINITE_PLACES = (0, 1, -1)
-
-T = QPolynomial([0, 1])
 
 
 class UnsupportedPlaceError(ValueError):
@@ -35,83 +33,26 @@ class NonMinimalModelError(ValueError):
     """Valuations (v(c4) >= 4 and v(Delta) >= 12) are off the minimal table."""
 
 
-class RationalFunction:
-    """Quotient of polynomials over Q in canonical coprime form with a
-    monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=1):
-        num = num if isinstance(num, QPolynomial) else QPolynomial([num] if isinstance(num, (int, Fraction)) else num)
-        den = den if isinstance(den, QPolynomial) else QPolynomial([den] if isinstance(den, (int, Fraction)) else den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        g = poly_gcd(num, den)
-        if not g.is_zero() and g.degree >= 0:
-            num, den = num // g, den // g
-        lead = den.coeffs[-1]
-        self.num = num * (1 / lead)
-        self.den = den * (1 / lead)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        other = _coerce(other)
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return RationalFunction(self.den, self.num) ** (-n)
-        return RationalFunction(self.num**n, self.den**n)
-
-    def __eq__(self, other):
-        other = _coerce(other)
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
-    def __repr__(self):
-        if self.is_polynomial():
-            return format_poly(self.num, "t")
-        return f"({format_poly(self.num, 't')}) / ({format_poly(self.den, 't')})"
+def lowest_terms(num: QPolynomial, den: QPolynomial) -> tuple[QPolynomial, QPolynomial]:
+    """num / den as a coprime pair with a monic denominator."""
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    g = poly_gcd(num, den)
+    num, den = num // g, den // g
+    scale = 1 / den.coeffs[-1]
+    return num * scale, den * scale
 
 
-def _coerce(x) -> RationalFunction:
-    if isinstance(x, RationalFunction):
-        return x
-    return RationalFunction(x)
-
-
-def poly_valuation(f: QPolynomial, r) -> int:
-    """Multiplicity of the root r in f; f must be nonzero."""
+def valuation(f: QPolynomial, place) -> int:
+    """Order of vanishing of a nonzero polynomial at a finite place r in
+    {0, 1, -1}, or minus its degree at oo."""
     if f.is_zero():
         raise ValueError("valuation of the zero polynomial")
-    factor = QPolynomial([-Q(r), 1])
+    if place == INF:
+        return -f.degree
+    if place not in FINITE_PLACES:
+        raise UnsupportedPlaceError(f"unsupported place {place!r}")
+    factor = QPolynomial([-Q(place), 1])
     v = 0
     while True:
         quo, rem = f.divmod(factor)
@@ -120,71 +61,66 @@ def poly_valuation(f: QPolynomial, r) -> int:
         f, v = quo, v + 1
 
 
-def valuation(f: RationalFunction, place) -> int:
-    """Order of vanishing at a finite place r in {0, 1, -1} or at oo
-    (negative on poles)."""
-    if f.is_zero():
-        raise ValueError("valuation of the zero function")
-    if place == INF:
-        return f.den.degree - f.num.degree
-    if place not in FINITE_PLACES:
-        raise UnsupportedPlaceError(f"unsupported place {place!r}")
-    return poly_valuation(f.num, place) - poly_valuation(f.den, place)
-
-
 def _strip_supported_factors(f: QPolynomial) -> tuple[dict[int, int], QPolynomial]:
     mults = {}
     for r in FINITE_PLACES:
-        v = poly_valuation(f, r)
+        v = valuation(f, r)
         if v:
             mults[r] = v
             f = f // QPolynomial([-Q(r), 1]) ** v
     return mults, f
 
 
-def pole_orders(f: RationalFunction) -> dict:
-    """Map place -> pole order for the supported places {0, 1, -1, oo}.
+def pole_orders(j: tuple[QPolynomial, QPolynomial]) -> dict:
+    """Map place -> pole order of the quotient j = (num, den) for the
+    supported places {0, 1, -1, oo}.
 
-    Raises UnsupportedPlaceError if the denominator has any other factor.
+    Raises UnsupportedPlaceError if the reduced denominator has any other
+    factor.
     """
-    if f.is_zero():
+    num, den = lowest_terms(*j)
+    if num.is_zero():
         return {}
-    mults, rest = _strip_supported_factors(f.den)
+    mults, rest = _strip_supported_factors(den)
     if rest.degree > 0:
         raise UnsupportedPlaceError(f"denominator factor outside supported places: {rest!r}")
     orders = dict(mults)  # coprime form: a denominator root is a genuine pole
-    inf_order = f.num.degree - f.den.degree
+    inf_order = num.degree - den.degree
     if inf_order > 0:
         orders[INF] = inf_order
     return orders
 
 
 class Invariants(NamedTuple):
-    c4: RationalFunction
-    c6: RationalFunction
-    delta: RationalFunction
-    j: RationalFunction
+    c4: QPolynomial
+    c6: QPolynomial
+    delta: QPolynomial
+    j: tuple[QPolynomial, QPolynomial]  # c4^3 / Delta in lowest terms
 
 
 @dataclass(frozen=True)
 class WeierstrassModel:
-    """Long Weierstrass coefficients a1..a6 over Q(t)."""
+    """Long Weierstrass coefficients a1..a6 in Q[t]."""
 
-    a1: RationalFunction
-    a2: RationalFunction
-    a3: RationalFunction
-    a4: RationalFunction
-    a6: RationalFunction
+    a1: QPolynomial
+    a2: QPolynomial
+    a3: QPolynomial
+    a4: QPolynomial
+    a6: QPolynomial
 
     @staticmethod
     def from_coeffs(a1=0, a2=0, a3=0, a4=0, a6=0) -> "WeierstrassModel":
-        return WeierstrassModel(*(map(_coerce, (a1, a2, a3, a4, a6))))
+        """An int or Fraction is a constant, a list the coefficients lowest
+        degree first."""
+        coeffs = ([a] if isinstance(a, (int, Fraction)) else a for a in (a1, a2, a3, a4, a6))
+        return WeierstrassModel(*(a if isinstance(a, QPolynomial) else QPolynomial(a) for a in coeffs))
 
 
 @lru_cache(maxsize=8)
 def invariants(model: WeierstrassModel) -> Invariants:
-    """Exact c4, c6, Delta, j of the model; raises on Delta = 0.  Memoised:
-    every place valuation of one model reads one computation."""
+    """Exact c4, c6, Delta and the reduced pair j of the model; raises on
+    Delta = 0.  Memoised: every place valuation of one model reads one
+    computation."""
     a1, a2, a3, a4, a6 = model.a1, model.a2, model.a3, model.a4, model.a6
     b2 = a1**2 + 4 * a2
     b4 = 2 * a4 + a1 * a3
@@ -195,8 +131,9 @@ def invariants(model: WeierstrassModel) -> Invariants:
     delta = -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
     if delta.is_zero():
         raise ValueError("singular model: Delta = 0")
-    assert c4**3 - c6**2 == 1728 * delta
-    return Invariants(c4, c6, delta, c4**3 / delta)
+    c4_cubed = c4**3
+    assert c4_cubed - c6**2 == 1728 * delta
+    return Invariants(c4, c6, delta, lowest_terms(c4_cubed, delta))
 
 
 def kodaira_type(v_delta: int, v_c4: int) -> str:
@@ -252,7 +189,7 @@ def kodaira_table(model: WeierstrassModel) -> dict:
 
 def bad_places(model: WeierstrassModel) -> list:
     """Places of bad reduction; errors if Delta vanishes anywhere else."""
-    mults, rest = _strip_supported_factors(invariants(model).delta.num)
+    mults, rest = _strip_supported_factors(invariants(model).delta)
     if rest.degree > 0:
         raise UnsupportedPlaceError(f"Delta vanishes outside supported places: {rest!r}")
     out = [r for r in FINITE_PLACES if mults.get(r, 0) > 0]
@@ -262,8 +199,8 @@ def bad_places(model: WeierstrassModel) -> list:
     return out
 
 
-def pole_order_lcm(f: RationalFunction) -> int:
-    orders = pole_orders(f)
+def pole_order_lcm(j: tuple[QPolynomial, QPolynomial]) -> int:
+    orders = pole_orders(j)
     return lcm(*orders.values()) if orders else 1
 
 

@@ -59,7 +59,7 @@ from psl2cert.ortho import (
 )
 from psl2cert.qpoly import QPolynomial, power, reduce_mod
 from psl2cert import tensor
-from psl2cert.weierstrass import RationalFunction, WeierstrassModel, _coerce, invariants, valuation
+from psl2cert.weierstrass import WeierstrassModel, invariants, valuation
 
 
 def group_order_tuple_bfs(generators, ell: int) -> int:
@@ -165,26 +165,15 @@ def reciprocal_charpoly_recurrence(m, ell: int) -> tuple:
     return (1, -e1 % ell, e2, -e3 % ell, e4)
 
 
-def _substitute_inverse(f: RationalFunction) -> RationalFunction:
-    """f(1/s) as a rational function of s."""
-    rev_n = QPolynomial(list(reversed(f.num.coeffs)))
-    rev_d = QPolynomial(list(reversed(f.den.coeffs)))
-    shift = f.den.degree - f.num.degree
-    if shift >= 0:
-        return RationalFunction(rev_n * QPolynomial([0] * shift + [1]), rev_d)
-    return RationalFunction(rev_n, rev_d * QPolynomial([0] * -shift + [1]))
-
-
 def model_at_infinity(model: WeierstrassModel) -> tuple:
     """(model in s = 1/t twisted by (x, y) -> (s^{-2m} x, s^{-3m} y), m):
-    the least m making every coefficient regular at s = 0."""
-    coeffs = {i: _substitute_inverse(getattr(model, f"a{i}")) for i in (1, 2, 3, 4, 6)}
-    m = 0
-    for i, f in coeffs.items():
-        if not f.is_zero():
-            m = max(m, (-valuation(f, 0) + i - 1) // i)  # ceil(-v / i)
-    twisted = {i: f * RationalFunction(QPolynomial([0] * (i * m) + [1])) for i, f in coeffs.items()}
-    return WeierstrassModel(*twisted.values()), m
+    the least m making every coefficient regular at s = 0.  a_i(1/s) is
+    s^{-deg a_i} times a_i with its coefficients reversed, so the twisted
+    a_i is s^{i m - deg a_i} reversed(a_i)."""
+    coeffs = dict(zip((1, 2, 3, 4, 6), (model.a1, model.a2, model.a3, model.a4, model.a6)))
+    m = max([0] + [-(-a.degree // i) for i, a in coeffs.items() if not a.is_zero()])  # ceil(deg / i)
+    twisted = [QPolynomial([0] * (i * m - a.degree) + list(reversed(a.coeffs))) for i, a in coeffs.items()]
+    return WeierstrassModel(*twisted), m
 
 
 def valuations_at_infinity(model: WeierstrassModel) -> tuple:
@@ -461,7 +450,7 @@ def euler_product_truncated(p: int, max_degree: int) -> list[int]:
 def from_quadratic_twist(c, a, b, d=0) -> WeierstrassModel:
     """Clear c(t) y^2 = x^3 + a x^2 + b x + d to long form via
     (x, y) -> (c x, c^2 y)."""
-    c, a, b, d = map(_coerce, (c, a, b, d))
+    c, a, b, d = (x if isinstance(x, QPolynomial) else QPolynomial([x]) for x in (c, a, b, d))
     return WeierstrassModel.from_coeffs(a2=a * c, a4=b * c**2, a6=d * c**3)
 
 

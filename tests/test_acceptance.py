@@ -48,7 +48,6 @@ from psl2cert.tensor import (
 )
 from psl2cert.weierstrass import (
     INF,
-    RationalFunction,
     invariants,
     kodaira_table,
     pole_order_lcm,
@@ -240,12 +239,8 @@ def test_criterion_11_weierstrass_suite():
     t = QPolynomial([0, 1])
     one = QPolynomial([1])
     checks = [
-        inv.delta == RationalFunction(16 * t**10 * (t - one) ** 8 * (t + one) ** 8),
-        inv.j
-        == RationalFunction(
-            256 * QPolynomial([1, 0, -1, 0, 1]) ** 3,
-            t**4 * (t - one) ** 2 * (t + one) ** 2,
-        ),
+        inv.delta == 16 * t**10 * (t - one) ** 8 * (t + one) ** 8,
+        inv.j == (256 * QPolynomial([1, 0, -1, 0, 1]) ** 3, t**4 * (t - one) ** 2 * (t + one) ** 2),
         pole_order_lcm(inv.j) == 4,
         kodaira_table(model) == {0: "I4*", 1: "I2*", -1: "I2*", INF: "I4*"},
     ]
