@@ -14,19 +14,18 @@ data, three branches are eliminated by pure residue arithmetic:
 u_p is `shape.u` from `lpoly`; `eliminate_exceptional` is the one place it
 is reduced mod l.
 
-A certificate records every residue it relied on together with the exact
-rational witness data, so an independent checker can re-verify it without
-recomputing any point counts.  The reduction from these residue conditions
-to actual surjectivity onto PSL2(F_l) is external to this artifact.
+A certificate records every residue it relied on and the exact rational
+witness data.  The checker reads only l and the witness primes: it recounts
+each P_p and compares the rebuilt certificate string for string.  How these
+residues imply surjectivity onto PSL2(F_l) is external to this artifact.
 
 Everything that does not depend on l is done once per distinct witness and
-process: `WitnessData.from_lpolynomial` is memoised on its `LPolynomial`,
-each witness holds its values as integers over one common denominator D
-and its JSON strings, and the checker parses each distinct (p, a, b) once.
-Only the residues are computed per l, in certifying and in checking alike.
-Each of the three branches takes its own inverse of D mod l per witness, so
-an l costs three inverses per witness, and a branch run alone still rejects
-a D that l divides.
+process: P_p comes from a per-prime memo of kernel counts, and the witness
+data built from it is memoised and holds its values as integers over one
+common denominator D and its JSON strings.  Only the residues are computed
+per l, in certifying and in checking alike.  Each of the three branches
+takes its own inverse of D mod l per witness, so an l costs three inverses
+per witness, and a branch run alone still rejects a D that l divides.
 
 The recorded discriminant, and with it the cartan `separability` residue, is
 0 for every witness p = 1 (mod 4): P_p is a square there, so that residue
@@ -44,7 +43,7 @@ from typing import NamedTuple
 
 from .lpoly import LPolynomial, SquareShape, lpolynomial, shape_classify
 from .modarith import OutOfRangeError, is_prime, primes_in_range
-from .qpoly import DenominatorDivisibleError, Q, QPolynomial, frac_str, parse_frac
+from .qpoly import DenominatorDivisibleError, Q, QPolynomial, frac_str
 
 # Unused here; kept because perfbench's traced worker wraps these two names.
 from .qpoly import discriminant, nth_power_poly  # noqa: F401
@@ -58,6 +57,11 @@ BOREL_POINTS = ((1, 0), (-1, 0), (1, 1), (-1, 1))
 EXCEPTIONAL_TRACE_SET = (0, 1, 2, 4)
 
 WITNESS_MEMO_SIZE = 64  # distinct witnesses kept by each memo below
+
+
+@lru_cache(maxsize=WITNESS_MEMO_SIZE)
+def _counted(p: int) -> LPolynomial:
+    return lpolynomial(p)
 
 
 class CertificateError(ValueError):
@@ -112,7 +116,9 @@ class WitnessData:
 
     @staticmethod
     def from_prime(p: int) -> "WitnessData":
-        return WitnessData.from_lpolynomial(lpolynomial(p))
+        """P_p from a per-prime memo that certifying and checking share; it
+        holds kernel counts only, so no certificate can put a value in it."""
+        return WitnessData.from_lpolynomial(_counted(p))
 
     @cached_property
     def scaled(self) -> _Scaled:
@@ -183,6 +189,14 @@ class Certificate:
         return "Certified" if all(r.eliminated for r in records) else "Inconclusive"
 
 
+def _check_witness_set(witnesses):
+    if not witnesses:
+        raise ValueError("witness set is empty")
+    if len(set(witnesses)) < len(witnesses):  # the set alone: every l of a range checks it
+        repeated = next(p for i, p in enumerate(witnesses) if p in witnesses[:i])
+        raise ValueError(f"witness {repeated} is repeated")
+
+
 def _validate(ell: int, witnesses: tuple[int, ...]):
     if not is_prime(ell):
         raise ValueError(f"l = {ell} is not prime")
@@ -191,8 +205,7 @@ def _validate(ell: int, witnesses: tuple[int, ...]):
             f"l = {ell} is below the certifiable range (l >= {MIN_ELL}): "
             f"every square mod {ell} is a trace square the exceptional test rejects"
         )
-    if not witnesses:
-        raise ValueError("witness set is empty")
+    _check_witness_set(witnesses)
     for p in witnesses:
         if not is_prime(p) or p == 2:
             raise ValueError(f"witness {p} is not an odd prime")
@@ -250,11 +263,11 @@ def eliminate_exceptional(ell: int, data: list[WitnessData]) -> ExceptionalRecor
 
 
 def certify_with_data(ell: int, data: list[WitnessData]) -> Certificate:
-    witnesses = tuple(wd.p for wd in data)
-    _validate(ell, witnesses)
+    """The three eliminations at l; the caller has passed l and the
+    witnesses through `_validate`."""
     return Certificate(
         ell,
-        witnesses,
+        tuple(wd.p for wd in data),
         eliminate_borel(ell, data),
         eliminate_cartan(ell, data),
         eliminate_exceptional(ell, data),
@@ -267,8 +280,7 @@ def certify(ell: int, witnesses=(3, 5)) -> Certificate:
     smallest usable primes 3 and 5."""
     witnesses = tuple(witnesses)
     _validate(ell, witnesses)
-    data = [WitnessData.from_prime(p) for p in witnesses]
-    return certify_with_data(ell, data)
+    return certify_with_data(ell, [WitnessData.from_prime(p) for p in witnesses])
 
 
 @dataclass(frozen=True)
@@ -308,13 +320,13 @@ def certify_range(ell_min: int, ell_max: int, witnesses=(3, 5)) -> RangeReport:
         raise OutOfRangeError(f"need {MIN_ELL} <= ell_min <= ell_max")
     if ell_max > MAX_RANGE_ELL:
         raise OutOfRangeError(f"ell_max {ell_max} is above the {MAX_RANGE_ELL} range bound")
-    if not witnesses:
-        raise ValueError("witness set is empty")
+    _check_witness_set(witnesses)
     data = [WitnessData.from_prime(p) for p in witnesses]
     certs: list[Certificate] = []
     errors: list[tuple[int, str]] = []
     for ell in primes_in_range(ell_min, ell_max):
         try:
+            _validate(ell, witnesses)
             certs.append(certify_with_data(ell, data))
         except ValueError as exc:
             errors.append((ell, str(exc)))
@@ -363,9 +375,9 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def verify_certificate(doc: dict) -> bool:
-    """Independent checker: re-derive every stored residue from the exact
-    rationals in the certificate and re-run the elimination logic.  Never
-    recounts points."""
+    """Re-check a certificate: recount P_p for each witness prime named,
+    re-run the elimination at the stored l and compare every stored string.
+    Reads nothing else from the document."""
     try:
         _verify(doc)
         return True
@@ -373,19 +385,7 @@ def verify_certificate(doc: dict) -> bool:
         return False
 
 
-@lru_cache(maxsize=WITNESS_MEMO_SIZE)
-def _parse_witness(p, a, b) -> LPolynomial:
-    """The validated P_p of one stored (p, a, b); a value that is not
-    hashable raises TypeError, and no failure is memoised."""
-    return LPolynomial(int(p), parse_frac(a), parse_frac(b))
-
-
 def _verify(doc: dict):
-    ell = int(doc["ell"])
-    data = [
-        WitnessData.from_lpolynomial(_parse_witness(w["p"], w["a"], w["b"]))
-        for w in doc["witness_data"]
-    ]
-    fresh = certify_with_data(ell, data)
+    fresh = certify(int(doc["ell"]), [int(w["p"]) for w in doc["witness_data"]])
     if certificate_to_dict(fresh) != doc:
         raise CertificateError("stored residues disagree with recomputation")

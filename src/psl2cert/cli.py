@@ -4,15 +4,16 @@ runs, surface invariants, and small-l group identity checks.
 Every command writes deterministic bytes to stdout for identical flags;
 timing goes to stderr.  Exit codes: 0 success, 1 usage error or bad input
 file, 2 shape-law violation, 3 any other arithmetic check failure
-(Weil/Hasse bound, trace kernel, a certificate that `verify` rejects, a
-`group-check` identity that prints FAIL), 4 out-of-range request
-(a field beyond the 2^20-entry character table, an `--ell-range` above
-10^6, an integer too large for exact primality), 5 some l given to
-`certify` is Inconclusive or errored.  A command returns 0, 3 or 5 for its
-own verdict and raises for anything else; `main` is the only mapping from
-an exception to an exit code, through EXIT_CODES, and prints one `error:`
-line.  The only files written are `certify --json` certificates, one compact
-document per line; they are replaced atomically, and `verify` re-checks them.
+(Weil/Hasse bound, trace kernel, a certificate that `verify` rejects or a
+`verify` file that holds none, a `group-check` identity that prints FAIL),
+4 out-of-range request (a field beyond the 2^20-entry character table, an
+`--ell-range` above 10^6, an integer too large for exact primality), 5 some
+l given to `certify` is Inconclusive or errored.  A command returns 0, 3 or
+5 for its own verdict and raises for anything else; `main` is the only
+mapping from an exception to an exit code, through EXIT_CODES, and prints
+one `error:` line.  The only files written are `certify --json`
+certificates, one compact document per line; they are replaced atomically,
+and `verify` re-checks them.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def cmd_verify(args) -> int:
     docs = payload if isinstance(payload, list) else [payload]
     verified = sum(1 for doc in docs if verify_certificate(doc))
     print(f"verified {verified}/{len(docs)}")
-    return EXIT_OK if verified == len(docs) else EXIT_WEIL
+    return EXIT_OK if 0 < verified == len(docs) else EXIT_WEIL
 
 
 def cmd_invariants(_args) -> int:

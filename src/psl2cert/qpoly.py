@@ -1,5 +1,5 @@
 """Exact polynomial arithmetic over Q, truncated power series, the "num/den"
-text codec, and reductions mod l.
+text form written into certificates, and reductions mod l.
 
 Newton's identities are written once, in the series_exp/series_log pair:
 power sums and n-th power transforms of a quartic are read off its log.
@@ -198,13 +198,6 @@ def nth_power_poly(poly: QPolynomial, n: int) -> QPolynomial:
 
 def frac_str(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_frac(s: str) -> Fraction:
-    if not isinstance(s, str):
-        raise TypeError(f"expected a 'num/den' string, got {s!r}")
-    num, den = s.split("/")
-    return Q(int(num), int(den))
 
 
 # ---------------------------------------------------------------------------

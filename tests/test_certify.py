@@ -23,7 +23,7 @@ from psl2cert.certify import (
     eliminate_exceptional,
     verify_certificate,
 )
-from psl2cert.lpoly import LPolynomial
+from psl2cert.lpoly import LPolynomial, lpolynomial, shape_classify
 from psl2cert.modarith import primes_in_range
 from psl2cert.qpoly import (
     DenominatorDivisibleError,
@@ -32,6 +32,7 @@ from psl2cert.qpoly import (
     nth_power_poly,
     reduce_mod,
 )
+from conftest import run_python
 from slow_paths import reduce_poly_mod, trace_square_invariant
 
 
@@ -257,6 +258,8 @@ def test_certify_validation():
         certify(13, witnesses=(4, 13))
     with pytest.raises(ValueError, match="witness 2 is not an odd prime"):
         certify(13, witnesses=(3, 2))
+    with pytest.raises(ValueError, match="^witness 3 is repeated$"):
+        certify(11, witnesses=(3, 5, 3))
 
 
 def test_certify_range_small():
@@ -277,6 +280,12 @@ def test_certify_range_refuses_an_empty_witness_set_before_the_sieve(monkeypatch
     monkeypatch.setattr(certify_module, "primes_in_range", lambda lo, hi: pytest.fail("sieved"))
     with pytest.raises(ValueError, match="^witness set is empty$"):
         certify_range(11, 60, ())
+
+
+def test_certify_range_refuses_a_repeated_witness_before_the_sieve(monkeypatch):
+    monkeypatch.setattr(certify_module, "primes_in_range", lambda lo, hi: pytest.fail("sieved"))
+    with pytest.raises(ValueError, match="^witness 3 is repeated$"):
+        certify_range(11, 60, (3, 3))
 
 
 def test_certify_range_matches_single_certify():
@@ -359,10 +368,69 @@ def test_certificate_checker_accepts_and_rejects():
                 assert not verify_certificate(replaced(doc, path, other)), (ell, path, other)
 
 
+def shape_law_lpolynomial(p, s) -> LPolynomial:
+    """The P_p of shape parameter s: (1 + sT + T^2)^2 for p = 1 (mod 4),
+    1 + (s^2 - 2)T^2 + T^4 for p = 3 (mod 4)."""
+    return LPolynomial(p, 2 * s, s * s + 2) if p % 4 == 1 else LPolynomial(p, Q(0), s * s - 2)
+
+
+def forged_certificate(ell, witnesses, p, s) -> dict:
+    """The certificate at ell, as JSON text reads back, whose witness block
+    for p is rebuilt consistently from shape parameter s instead of from the
+    count: every residue follows from the forged P_p, as a forger would
+    write it."""
+    forged = WitnessData.from_lpolynomial(shape_law_lpolynomial(p, s))
+    data = [forged if q == p else witness(q) for q in witnesses]
+    return json.loads(json.dumps(certificate_to_dict(certify_module.certify_with_data(ell, data))))
+
+
+def shifted_shape(p):
+    """The shape parameter of the counted P_p moved by 1/p, in the direction
+    that keeps it in the shape law's range: |s| <= 2 (the Weil bound), and
+    s >= 0 for p = 3 (mod 4)."""
+    s = shape_classify(lpolynomial(p)).b
+    return next(t for t in (s + Q(1, p), s - Q(1, p)) if abs(t) <= 2 and (p % 4 == 1 or t >= 0))
+
+
+FORGED_P5_ELLS = (11, 19, 23, 1009)
+ODD_PRIMES_TO_31 = primes_in_range(3, 31)
+
+
+@pytest.mark.parametrize("ell", FORGED_P5_ELLS)
+def test_checker_rejects_a_forged_p5_that_keeps_the_shape_law(ell):
+    # s = 1/5 in place of the counted -2/5: a = 2/5, b = 51/25 obey the
+    # square shape and the Weil bound, and every residue matches them
+    doc = forged_certificate(ell, (3, 5), 5, Q(1, 5))
+    assert (doc["witness_data"][1]["a"], doc["witness_data"][1]["b"]) == ("2/5", "51/25")
+    assert not verify_certificate(doc)
+    assert verify_certificate(json.loads(json.dumps(certificate_to_dict(certify(ell)))))
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_TO_31)
+def test_checker_rejects_a_witness_block_shifted_by_one_over_p(p):
+    s = shifted_shape(p)
+    assert shape_classify(shape_law_lpolynomial(p, s)).b == s  # the shape law holds
+    assert not verify_certificate(forged_certificate(101, (p,), p, s))
+    assert verify_certificate(json.loads(json.dumps(certificate_to_dict(certify(101, (p,))))))
+
+
+def test_verify_command_rejects_forged_witness_blocks_on_a_cold_memo(tmp_path):
+    docs = [forged_certificate(ell, (3, 5), 5, Q(1, 5)) for ell in FORGED_P5_ELLS]
+    docs += [forged_certificate(101, (p,), p, shifted_shape(p)) for p in ODD_PRIMES_TO_31]
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(docs))
+    child = run_python("-m", "psl2cert.cli", "verify", str(path))  # a fresh process: nothing memoised
+    assert (child.returncode, child.stdout) == (3, f"verified 0/{len(docs)}\n")
+
+
 def test_warm_memo_does_not_weaken_the_checker():
+    certify_module._counted.cache_clear()
+    WitnessData.from_lpolynomial.cache_clear()
+    forged = forged_certificate(19, (3, 5), 5, Q(1, 5))
     good = json.loads(json.dumps(certificate_to_dict(certify(19))))
-    assert verify_certificate(good)  # both witnesses are now memoised
-    tampered = []
+    assert not verify_certificate(forged)  # counts both witnesses
+    assert verify_certificate(good)  # both are now memoised
+    tampered = [forged]
     for key in ("a", "b", "u", "disc"):
         doc = json.loads(json.dumps(good))
         doc["witness_data"][0][key] = {"a": "1/3", "b": "5/3", "u": "3/1", "disc": "1/1"}[key]
@@ -371,7 +439,7 @@ def test_warm_memo_does_not_weaken_the_checker():
     doc["witness_data"][1]["p4"][2] = "7/1"
     tampered.append(doc)
     doc = json.loads(json.dumps(good))
-    doc["witness_data"][0]["a"] = ["0/1"]  # unhashable where a string belongs
+    doc["witness_data"][0]["a"] = ["0/1"]  # a list where a "num/den" string belongs
     tampered.append(doc)
     for doc in tampered:
         assert doc != good
@@ -453,23 +521,39 @@ def test_certificate_to_dict_returns_fresh_documents():
 
 
 def test_round_trip_derives_each_witness_once(monkeypatch):
-    # a count, not a timing: the closed form starts with shape_classify, and
-    # 200 certificates made and checked need it once per distinct witness
-    calls = []
-    shape_classify = certify_module.shape_classify
+    # a count, not a timing: 200 certificates made and checked count each
+    # distinct witness once, and the closed form, which starts with
+    # shape_classify, runs once per distinct witness too
+    counted, calls = [], []
+    real_lpolynomial, real_shape_classify = certify_module.lpolynomial, certify_module.shape_classify
+
+    def counting_lpolynomial(p):
+        counted.append(p)
+        return real_lpolynomial(p)
 
     def counting(lp):
         calls.append(lp.p)
-        return shape_classify(lp)
+        return real_shape_classify(lp)
 
+    monkeypatch.setattr(certify_module, "lpolynomial", counting_lpolynomial)
     monkeypatch.setattr(certify_module, "shape_classify", counting)
+    certify_module._counted.cache_clear()
     WitnessData.from_lpolynomial.cache_clear()
     ells = primes_in_range(11, 1300)[:200]
     report = certify_range(ells[0], ells[-1])
     assert [c.ell for c in report] == ells
     for cert in report:
         assert verify_certificate(json.loads(json.dumps(certificate_to_dict(cert))))
+    assert sorted(counted) == [3, 5]
     assert sorted(calls) == [3, 5]
+
+
+def test_checker_refuses_an_invalid_witness_set_before_counting(monkeypatch):
+    doc = json.loads(json.dumps(certificate_to_dict(certify(1019))))
+    doc["witness_data"][0]["p"] = "1019"  # a witness equal to l
+    monkeypatch.setattr(certify_module, "lpolynomial", lambda p: pytest.fail(f"counted P_{p}"))
+    certify_module._counted.cache_clear()
+    assert not verify_certificate(doc)
 
 
 def test_round_trip_checks_each_ell_for_primality_twice(monkeypatch):

@@ -303,6 +303,13 @@ def test_verify_command(capsys, tmp_path):
     assert (code, out) == (EXIT_WEIL, "verified 0/1\n")
 
 
+def test_verify_fails_a_file_that_holds_no_certificates(capsys, tmp_path):
+    path = tmp_path / "none.json"
+    code, _ = run(capsys, "certify", "--ell-range", "11:11", "--witnesses", "11", "--json", str(path))
+    assert (code, path.read_text()) == (EXIT_INCONCLUSIVE, "[]\n")
+    assert run(capsys, "verify", str(path)) == (EXIT_WEIL, "verified 0/0\n")
+
+
 @pytest.mark.parametrize(
     "ell_range, witnesses",
     [("11:100", "3,5"), ("11:11", "11")],  # the second writes an empty list
@@ -406,6 +413,8 @@ BAD_COMMAND_LINES = [
     (["certify", "--ell-range", "11:"], EXIT_USAGE, "", RANGE_FORM.format("11:")),
     (["certify", "--ell-range", "11:20:30"], EXIT_USAGE, "", RANGE_FORM.format("11:20:30")),
     (["certify", "--ell", "11", "--witnesses", "3,,5"], EXIT_USAGE, "", WITNESSES_FORM.format("3,,5")),
+    (["certify", "--ell", "11", "--witnesses", "3,3"], EXIT_USAGE, "", "error: witness 3 is repeated\n"),
+    (["certify", "--ell-range", "11:100", "--witnesses", "3,5,3"], EXIT_USAGE, "", "error: witness 3 is repeated\n"),
 ]
 
 
